@@ -25,11 +25,12 @@ test:
 
 # The concurrent components — the parallel driver, the sharded
 # response cache (singleflight, LRU under contention), the server's
-# request handling, the shard-merged telemetry histograms, the parallel
-# Digraph solve with its lock-free shared arena, the fanned prop
-# read-off, the frozen store consulted from request goroutines, and the
-# cluster peer layer (hedged fetches, breakers, async offers) — run
-# under the race detector.
+# request handling, the shard-merged telemetry histograms, the frozen
+# store consulted from request goroutines, the ambiguity walks fanned
+# out under forked budgets, and the cluster peer layer (hedged fetches,
+# breakers, async offers) — run under the race detector.  The digraph
+# and prop packages are serial; they stay on the list so that any
+# concurrency added to the look-ahead solvers is raced from the start.
 race:
 	$(GO) test -race ./internal/driver/... ./internal/cache/... ./internal/server/... ./internal/telemetry/... ./internal/digraph/... ./internal/prop/... ./internal/frozen/... ./internal/ambig/... ./internal/cluster/...
 
@@ -83,11 +84,6 @@ guard-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Ambiguity smoke (DESIGN.md § 13): the prover must reach both proven
-# verdicts on the canonical pair — dangling-else is a true ambiguity
-# (GL040, witness confirmed by both oracles), not-lalr is an LALR(1)
-# inadequacy only (GL041, search space exhausted) — and the report must
-# be byte-identical serial vs parallel.
 # Fleet smoke (DESIGN.md § 14): a 3-node lalrd fleet on localhost
 # replays the corpus under concurrent load, one node is killed
 # mid-replay, and the run passes only with zero client-visible errors,
@@ -96,6 +92,11 @@ bench:
 cluster-smoke:
 	$(GO) run ./cmd/lalrd -cluster-smoke
 
+# Ambiguity smoke (DESIGN.md § 13): the prover must reach both proven
+# verdicts on the canonical pair — dangling-else is a true ambiguity
+# (GL040, witness confirmed by both oracles), not-lalr is an LALR(1)
+# inadequacy only (GL041, search space exhausted) — and the report must
+# be byte-identical serial vs parallel.
 ambig-smoke:
 	$(GO) build -o bin/grammarlint ./cmd/grammarlint
 	./bin/grammarlint -corpus dangling-else,not-lalr -parallel 1 > bin/ambig-smoke-1.txt

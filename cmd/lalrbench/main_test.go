@@ -4,12 +4,17 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/cliguard"
+	"repro/internal/core"
+	"repro/internal/digraph"
+	"repro/internal/grammar"
 	"repro/internal/grammars"
+	"repro/internal/lr0"
 )
 
 // The timing-free experiment tables must render all corpus grammars and
@@ -199,5 +204,70 @@ func TestEmitMetricsWritesFile(t *testing.T) {
 	}
 	if doc.Schema != benchSchema {
 		t.Errorf("schema = %q", doc.Schema)
+	}
+}
+
+// TestBenchCoreGate recomputes the deterministic fields of the committed
+// BENCH_core.json — sizes, relation and SCC statistics and every
+// cost-model counter, but not timings or phases — and requires an exact
+// match, so "counters unchanged" is enforced rather than asserted.  Each
+// row must also satisfy the paper's linearity identity: the Digraph
+// passes perform one union per relation edge plus one copy per non-root
+// SCC member, and la-union adds one per lookback edge.
+func TestBenchCoreGate(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_core.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want benchMetrics
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := collectMetrics(true, 1, &cliguard.Flags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Grammars) != len(want.Grammars) {
+		t.Fatalf("%d rows, committed file has %d", len(got.Grammars), len(want.Grammars))
+	}
+	type row struct {
+		Grammar, Fingerprint                          string
+		Terminals, Nonterminals, Productions, LR0, NT int
+		Relations                                     relationMetrics
+		Digraph                                       digraphMetrics
+		Counters                                      map[string]int64
+	}
+	proj := func(m grammarMetrics) row {
+		return row{m.Grammar, m.Fingerprint, m.Terminals, m.Nonterminals, m.Productions,
+			m.LR0States, m.NtTransitions, m.Relations, m.Digraph, m.Counters}
+	}
+	for i := range want.Grammars {
+		g, w := proj(got.Grammars[i]), proj(want.Grammars[i])
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("row %d (%s) differs from BENCH_core.json:\ngot  %+v\nwant %+v", i, w.Grammar, g, w)
+		}
+		c := got.Grammars[i].Counters
+		if lhs, rhs := c["bitset_unions"]-c["la_unions"], c["relation_edges"]+c["scc_pushes"]-c["sccs"]; lhs != rhs {
+			t.Errorf("%s: bitset_unions − la_unions = %d, relation_edges + scc_pushes − sccs = %d", w.Grammar, lhs, rhs)
+		}
+	}
+}
+
+// The same identity per Digraph pass on the synthetic families, whose
+// long chains and large SCC-free relations are where a miscount would
+// show: Unions = Edges + Nodes − SCCs for both reads and includes.
+func TestDigraphUnionIdentitySynthetic(t *testing.T) {
+	for _, g := range []*grammar.Grammar{
+		grammars.UnitChain(50), grammars.UnitChain(400),
+		grammars.UnitChainReversed(50), grammars.UnitChainReversed(400),
+		grammars.NullableChain(20), grammars.NullableChain(120),
+		grammars.ExprLevels(5), grammars.ExprLevels(40),
+	} {
+		dp := core.Compute(lr0.New(g, nil))
+		for _, st := range []*digraph.Stats{dp.ReadsStats, dp.IncludesStats} {
+			if st.Unions != st.Edges+st.Nodes-st.SCCs {
+				t.Errorf("%s: Unions = %d, want Edges %d + Nodes %d − SCCs %d", g.Name(), st.Unions, st.Edges, st.Nodes, st.SCCs)
+			}
+		}
 	}
 }

@@ -33,13 +33,6 @@ func ComputeLazy(a *lr0.Automaton) *Result {
 // generator on trusted inputs and stays ungoverned; the nil budgets
 // below make the shared relation sweeps infallible here.
 func ComputeLazyObserved(a *lr0.Automaton, rec *obs.Recorder) *Result {
-	return ComputeLazyWith(a, 0, rec)
-}
-
-// ComputeLazyWith is ComputeLazyObserved with the Digraph solve fanned
-// out over workers goroutines (<= 1 keeps the serial traversal; results
-// are byte-identical either way).
-func ComputeLazyWith(a *lr0.Automaton, workers int, rec *obs.Recorder) *Result {
 	r := &Result{Auto: a}
 	sp := rec.Start("dr-reads")
 	if err := r.computeDRAndReads(nil); err != nil {
@@ -112,7 +105,7 @@ func ComputeLazyWith(a *lr0.Automaton, workers int, rec *obs.Recorder) *Result {
 		}
 	}
 	var err error
-	r.ReadsStats, err = digraph.SolveParallel(n, restrict(r.Reads), r.Read, workers, rec, nil)
+	r.ReadsStats, err = digraph.RunBudgeted(n, restrict(r.Reads), r.Read, rec, nil)
 	if err != nil {
 		// A nil Budget enforces nothing; no error is possible.
 		panic(err)
@@ -121,7 +114,7 @@ func ComputeLazyWith(a *lr0.Automaton, workers int, rec *obs.Recorder) *Result {
 
 	sp = rec.Start("solve-includes")
 	r.Follow = readArena.Clone().Sets()
-	r.IncludesStats, err = digraph.SolveParallel(n, restrict(r.Includes), r.Follow, workers, rec, nil)
+	r.IncludesStats, err = digraph.RunBudgeted(n, restrict(r.Includes), r.Follow, rec, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,10 +1,13 @@
 package digraph
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/guard"
 	"repro/internal/obs"
 )
 
@@ -374,6 +377,68 @@ func TestRunDeepCycle(t *testing.T) {
 	for i := 0; i < n; i += n / 100 {
 		if !f[i].Has(1) {
 			t.Fatalf("node %d missing component union", i)
+		}
+	}
+}
+
+// starRelation has m source nodes that all read one sink (node 0), so
+// it has m edges and no cycles.
+func starRelation(m int) (n int, adj [][]int) {
+	n = m + 1
+	adj = make([][]int, n)
+	for i := 1; i < n; i++ {
+		adj[i] = []int{0}
+	}
+	return n, adj
+}
+
+// A pre-cancelled context must abort the traversal at its first
+// checkpoint.
+func TestRunBudgetedPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bud := guard.New(ctx, guard.Limits{CheckEvery: 1}, nil)
+	n, adj := starRelation(64)
+	_, err := RunBudgeted(n, edgeRel(adj), bitset.NewArena(n, 1).Sets(), nil, bud)
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// The relation-edge ceiling must trip with the typed limit error once
+// the traversal crosses it.
+func TestRunBudgetedEdgeLimit(t *testing.T) {
+	bud := guard.New(context.Background(), guard.Limits{MaxRelationEdges: 10, CheckEvery: 1}, nil)
+	n, adj := starRelation(64)
+	_, err := RunBudgeted(n, edgeRel(adj), bitset.NewArena(n, 1).Sets(), nil, bud)
+	var limit *guard.ErrLimitExceeded
+	if !errors.As(err, &limit) || limit.Resource != guard.ResRelationEdges {
+		t.Fatalf("err = %v, want ErrLimitExceeded on %s", err, guard.ResRelationEdges)
+	}
+}
+
+// A checkpointed traversal over arena-backed sets must solve a 100k-node
+// chain without overflowing the stack, and an edge ceiling the chain
+// stays under must not trip.
+func TestRunBudgetedDeepChain(t *testing.T) {
+	const n = 100_000
+	adj := make([][]int, n)
+	for i := 0; i < n-1; i++ {
+		adj[i] = []int{i + 1}
+	}
+	f := bitset.NewArena(n, 1).Sets()
+	f[n-1].Add(0)
+	bud := guard.New(context.Background(), guard.Limits{MaxRelationEdges: n, CheckEvery: 1}, nil)
+	st, err := RunBudgeted(n, edgeRel(adj), f, nil, bud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SCCs != n || st.Cyclic() {
+		t.Fatalf("chain stats: SCCs=%d cyclic=%v, want %d acyclic", st.SCCs, st.Cyclic(), n)
+	}
+	for i := 0; i < n; i += n / 100 {
+		if !f[i].Has(0) {
+			t.Fatalf("node %d missing propagated element", i)
 		}
 	}
 }

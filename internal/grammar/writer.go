@@ -13,13 +13,14 @@ import (
 func (g *Grammar) WriteYacc() string {
 	var b strings.Builder
 
-	// %token for unquoted terminals without precedence ($end excluded;
-	// quoted literals need no declaration but harmlessly accept one —
-	// omit them for idiomatic output).
+	// %token for identifier terminals without precedence ($end excluded;
+	// every other terminal is written quoted, and quoted literals need
+	// no declaration but harmlessly accept one — omit them for
+	// idiomatic output).
 	var plain []string
 	for t := 1; t < g.numTerms; t++ {
 		name := g.syms[t].name
-		if name == "error" || g.syms[t].prec.Defined() || strings.HasPrefix(name, "'") {
+		if name == "error" || g.syms[t].prec.Defined() || !isIdent(name) {
 			continue
 		}
 		plain = append(plain, name)
@@ -40,7 +41,7 @@ func (g *Grammar) WriteYacc() string {
 		assoc := AssocNone
 		for t := 1; t < g.numTerms; t++ {
 			if p := g.syms[t].prec; p.Level == lvl {
-				names = append(names, g.syms[t].name)
+				names = append(names, g.yaccName(Sym(t)))
 				assoc = p.Assoc
 			}
 		}
@@ -98,18 +99,43 @@ func (g *Grammar) WriteYacc() string {
 			} else {
 				parts := make([]string, len(p.Rhs))
 				for i, s := range p.Rhs {
-					parts[i] = g.SymName(s)
+					parts[i] = g.yaccName(s)
 				}
 				b.WriteString(strings.Join(parts, " "))
 			}
 			// Emit %prec only when it was an explicit override (the
 			// precedence symbol does not appear in the right-hand side).
 			if p.PrecSym != NoSym && !rhsContains(p.Rhs, p.PrecSym) {
-				fmt.Fprintf(&b, " %%prec %s", g.SymName(p.PrecSym))
+				fmt.Fprintf(&b, " %%prec %s", g.yaccName(p.PrecSym))
 			}
 			b.WriteString("\n")
 		}
 		b.WriteString("  ;\n")
 	}
 	return b.String()
+}
+
+// literalEscaper escapes what Parse's character-literal scanner decodes.
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`, "\n", `\n`, "\t", `\t`)
+
+// yaccName is how symbol s is spelled in yacc text: identifiers and
+// already-quoted literals as they are, and any other terminal name
+// (a builder-declared "(" or "+") quoted as a character literal, so
+// Parse reads it back as one terminal.
+func (g *Grammar) yaccName(s Sym) string {
+	name := g.SymName(s)
+	if int(s) >= g.numTerms || isIdent(name) || strings.HasPrefix(name, "'") {
+		return name
+	}
+	return "'" + literalEscaper.Replace(name) + "'"
+}
+
+// isIdent reports whether name scans as a single identifier token.
+func isIdent(name string) bool {
+	for i, r := range name {
+		if !isIdentChar(r) || (i == 0 && !isIdentStart(r)) {
+			return false
+		}
+	}
+	return name != ""
 }
