@@ -11,8 +11,8 @@ build:
 # protocol with stdlib only): nilrecorder enforces the nil-receiver
 # guard pattern on exported obs and telemetry methods; guardloop
 # requires every potentially unbounded loop in the search and fixpoint
-# engines (ambig, digraph, glr, treecount) to hit a guard.Budget
-# checkpoint or carry an explicit //guardloop:ok waiver.
+# engines (ambig, cluster, digraph, grammar, glr, treecount) to hit a
+# guard.Budget checkpoint or carry an explicit //guardloop:ok waiver.
 vet:
 	$(GO) vet ./...
 	$(GO) build -o bin/nilrecorder ./internal/analyzers/nilrecorder
@@ -73,7 +73,7 @@ frozen-smoke:
 # guard error (nonzero exit) without -keep-going, and exit clean with
 # it.
 guard-smoke:
-	$(GO) test -run 'TestAnalyze(CanonicalLimitTrip|LR0LimitTrip|PreCancelledContext|CancelMidRun|AllInjectedPanicIsolation|AllFailFastStops)|TestLintGoverned|FuzzAnalyze' .
+	$(GO) test -run 'TestAnalyze(CanonicalLimitTrip|LR0LimitTrip|PreCancelledContext|HostileUnitChainDeadline|CancelMidRun|AllInjectedPanicIsolation|AllFailFastStops)|TestLintGoverned|FuzzAnalyze' .
 	$(GO) test ./internal/guard/
 	$(GO) test -race -run 'TestRunCollectErrorOrderDeterministic|TestRunFailFastCancelsRest|TestRunRecoversPanic' ./internal/driver/
 	$(GO) build -o bin/lalrbench ./cmd/lalrbench

@@ -54,6 +54,37 @@ func BenchmarkTableI_LR0Construction(b *testing.B) {
 	}
 }
 
+// analysisSink keeps BenchmarkGrammarAnalyze's result live.
+var analysisSink *grammar.Analysis
+
+// BenchmarkGrammarAnalyze measures the front end every request pays
+// before LR(0): nullability and FIRST.  "corpus" analyzes every corpus
+// grammar per op; the unit chains are the family on which chaotic
+// iteration was quadratic.
+func BenchmarkGrammarAnalyze(b *testing.B) {
+	var corpus []*grammar.Grammar
+	for _, e := range grammars.All() {
+		corpus = append(corpus, grammars.MustLoad(e.Name))
+	}
+	for _, c := range []struct {
+		name string
+		gs   []*grammar.Grammar
+	}{
+		{"corpus", corpus},
+		{"unit-chain-1000", []*grammar.Grammar{grammars.UnitChain(1000)}},
+		{"unit-chain-4000", []*grammar.Grammar{grammars.UnitChain(4000)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, g := range c.gs {
+					analysisSink = grammar.Analyze(g)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTableII_Relations measures building the DeRemer–Pennello
 // relations plus solving them — the full look-ahead pass.
 func BenchmarkTableII_Relations(b *testing.B) {

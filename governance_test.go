@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/grammars"
@@ -76,7 +77,9 @@ func TestAnalyzeLR0LimitTrip(t *testing.T) {
 
 // TestAnalyzePreCancelledContext: a context that is already done must
 // abort every method before any real work — the budget's countdown
-// starts at 1, so the very first checkpoint observes the cancellation.
+// starts at 1, so the very first checkpoint observes the cancellation,
+// and that checkpoint is in the grammar analysis that opens the
+// pipeline.
 func TestAnalyzePreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -89,7 +92,31 @@ func TestAnalyzePreCancelledContext(t *testing.T) {
 		if !errors.Is(err, repro.ErrCanceled) || !errors.Is(err, context.Canceled) {
 			t.Errorf("method %v: err = %v, want match for ErrCanceled and context.Canceled", m, err)
 		}
+		var ce *guard.CancelError
+		if !errors.As(err, &ce) || ce.Phase != "grammar-analysis" {
+			t.Errorf("method %v: err = %v, want a cancellation in phase grammar-analysis", m, err)
+		}
 	}
+}
+
+// TestAnalyzeHostileUnitChainDeadline: a unit chain of 16000 symbols,
+// a grammar of about 200 KB, must honour a 50 ms deadline within a
+// 500 ms slack.  A front end quadratic in the chain, or one without a
+// checkpoint, runs for seconds before the first checkpoint after it.
+func TestAnalyzeHostileUnitChainDeadline(t *testing.T) {
+	g := grammars.UnitChain(16000)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := repro.AnalyzeContext(ctx, g, repro.Options{})
+	elapsed := time.Since(start)
+	if res != nil || !errors.Is(err, repro.ErrCanceled) {
+		t.Fatalf("err = %v, want a match for ErrCanceled", err)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("returned after %v, want within 500ms of a 50ms deadline", elapsed)
+	}
+	t.Logf("%v after %v", err, elapsed)
 }
 
 // TestAnalyzeCancelMidRun is the acceptance test for prompt

@@ -120,6 +120,28 @@ func f(xs []int) int {
 	}
 }
 
+// TestGrammarPackageChecked: the front end's saturation worklist is
+// governed like the other engines — unguarded it is flagged, with a
+// checkpoint it passes.
+func TestGrammarPackageChecked(t *testing.T) {
+	const unguarded = `package grammar
+
+func derive(work []int32) {
+	for len(work) > 0 {
+		work = work[:len(work)-1]
+	}
+}
+`
+	if diags := check(t, "derive.go", unguarded); len(diags) != 1 {
+		t.Fatalf("want 1 diagnostic for the unguarded worklist, got %v", diags)
+	}
+	guarded := strings.Replace(unguarded, "\t\twork = ",
+		"\t\tif err := bud.Check(); err != nil {\n\t\t\treturn\n\t\t}\n\t\twork = ", 1)
+	if diags := check(t, "derive.go", guarded); len(diags) != 0 {
+		t.Errorf("checkpointed worklist flagged: %v", diags)
+	}
+}
+
 func TestOtherPackagesIgnored(t *testing.T) {
 	diags := check(t, "f.go", `package server
 

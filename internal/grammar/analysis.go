@@ -1,7 +1,11 @@
 package grammar
 
 import (
+	"strings"
+
 	"repro/internal/bitset"
+	"repro/internal/digraph"
+	"repro/internal/guard"
 )
 
 // Analysis caches the standard grammar facts every LR construction needs:
@@ -19,10 +23,32 @@ type Analysis struct {
 
 // Analyze computes nullability and FIRST sets for g.
 func Analyze(g *Grammar) *Analysis {
-	a := &Analysis{G: g}
-	a.computeNullable()
-	a.computeFirst()
+	a, err := AnalyzeBudgeted(g, nil)
+	if err != nil {
+		// A nil Budget enforces nothing; no error is possible.
+		panic(err)
+	}
 	return a
+}
+
+// AnalyzeBudgeted is Analyze under a resource budget, in time linear in
+// the grammar: nullability is a counter worklist (derive) and FIRST one
+// Digraph pass over the nonterminals.  Both checkpoint cancellation
+// once per nonterminal, under the phase "grammar-analysis".  Neither
+// records relation or union counters nor charges
+// guard.ResRelationEdges, which stay the look-ahead solver's.  A nil
+// Budget makes it identical to Analyze.
+func AnalyzeBudgeted(g *Grammar, bud *guard.Budget) (*Analysis, error) {
+	defer bud.Phase(bud.Phase("grammar-analysis"))
+	a := &Analysis{G: g}
+	var err error
+	if a.Nullable, err = derive(g, false, bud); err != nil {
+		return nil, err
+	}
+	if err = a.computeFirst(bud); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // NullableSym reports whether s ⇒* ε.  Terminals are never nullable.
@@ -43,50 +69,42 @@ func (a *Analysis) NullableSeq(seq []Sym) bool {
 	return true
 }
 
-func (a *Analysis) computeNullable() {
+// computeFirst solves FIRST X = F′ X ∪ ⋃{FIRST Y : X R Y} over the
+// nonterminals with one Digraph pass, where for each X → α s β with α
+// nullable, a terminal s puts s in F′ X and a nonterminal s gives
+// X R s.  Digraph calls the successor function once per node, when it
+// opens the node and before any union into it, so the function also
+// seeds F′ X there and carries the per-node checkpoint.
+func (a *Analysis) computeFirst(bud *guard.Budget) error {
 	g := a.G
-	a.Nullable = make([]bool, g.NumNonterminals())
-	for changed := true; changed; {
-		changed = false
-		for i := range g.prods {
-			p := &g.prods[i]
-			ni := g.NtIndex(p.Lhs)
-			if a.Nullable[ni] {
-				continue
-			}
-			if a.NullableSeq(p.Rhs) {
-				a.Nullable[ni] = true
-				changed = true
-			}
-		}
-	}
-}
-
-func (a *Analysis) computeFirst() {
-	g := a.G
+	nterms := g.NumTerminals()
 	// One arena backs every FIRST set: the family is allocated at once
 	// over a shared universe, the profile the arena exists for.
-	a.First = bitset.NewArena(g.NumSymbols(), g.NumTerminals()).Sets()
-	for s := 0; s < g.NumSymbols(); s++ {
-		if g.IsTerminal(Sym(s)) {
-			a.First[s].Add(s)
-		}
+	a.First = bitset.NewArena(g.NumSymbols(), nterms).Sets()
+	for t := 0; t < nterms; t++ {
+		a.First[t].Add(t)
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range g.prods {
-			p := &g.prods[i]
-			lhs := &a.First[p.Lhs]
-			for _, s := range p.Rhs {
-				if lhs.Or(a.First[s]) {
-					changed = true
+	first := a.First[nterms:] // nonterminal X's set is first[NtIndex(X)]
+	var err error
+	digraph.Run(len(first), func(x int, yield func(y int)) {
+		if err = bud.Check(); err != nil {
+			return
+		}
+		for _, pi := range g.prodsOf[x] {
+			for _, s := range g.prods[pi].Rhs {
+				if g.IsTerminal(s) {
+					first[x].Add(int(s))
+					break
 				}
-				if !a.NullableSym(s) {
+				y := g.NtIndex(s)
+				yield(y)
+				if !a.Nullable[y] {
 					break
 				}
 			}
 		}
-	}
+	}, first)
+	return err
 }
 
 // FirstOfSeq unions FIRST(seq) into out and reports whether seq is
@@ -113,37 +131,50 @@ func (a *Analysis) Follow(nt Sym) bitset.Set {
 	return a.follow[a.G.NtIndex(nt)]
 }
 
+// computeFollow solves FOLLOW A = F′ A ∪ ⋃{FOLLOW B : A R B} with one
+// Digraph pass, where for each B → α A β, F′ A holds FIRST β and A R B
+// holds when β is nullable.
 func (a *Analysis) computeFollow() {
 	g := a.G
-	a.follow = bitset.NewArena(g.NumNonterminals(), g.NumTerminals()).Sets()
-	for changed := true; changed; {
-		changed = false
-		for i := range g.prods {
-			p := &g.prods[i]
-			for j, s := range p.Rhs {
-				if !g.IsNonterminal(s) {
-					continue
+	follow := bitset.NewArena(g.NumNonterminals(), g.NumTerminals()).Sets()
+	// F′: one right-to-left sweep per production, carrying FIRST β.
+	rest := bitset.New(g.NumTerminals())
+	for pi := range g.prods {
+		rhs := g.prods[pi].Rhs
+		rest.Clear()
+		for j := len(rhs) - 1; j >= 0; j-- {
+			s := rhs[j]
+			if g.IsNonterminal(s) {
+				follow[g.NtIndex(s)].Or(rest)
+			}
+			if !a.NullableSym(s) {
+				rest.Clear()
+			}
+			rest.Or(a.First[s])
+		}
+	}
+	// R: the nonterminals of each production's nullable tail, plus the
+	// one just before the tail.
+	rel := buildRows(len(follow), func(emit func(row, val int32)) {
+		for pi := range g.prods {
+			p := &g.prods[pi]
+			for j := len(p.Rhs) - 1; j >= 0; j-- {
+				s := p.Rhs[j]
+				if g.IsNonterminal(s) {
+					emit(int32(g.NtIndex(s)), int32(g.NtIndex(p.Lhs)))
 				}
-				fs := &a.follow[g.NtIndex(s)]
-				rest := p.Rhs[j+1:]
-				restNullable := true
-				for _, r := range rest {
-					if fs.Or(a.First[r]) {
-						changed = true
-					}
-					if !a.NullableSym(r) {
-						restNullable = false
-						break
-					}
-				}
-				if restNullable {
-					if fs.Or(a.follow[g.NtIndex(p.Lhs)]) {
-						changed = true
-					}
+				if !a.NullableSym(s) {
+					break
 				}
 			}
 		}
-	}
+	})
+	digraph.Run(len(follow), func(x int, yield func(y int)) {
+		for _, y := range rel.row(x) {
+			yield(int(y))
+		}
+	}, follow)
+	a.follow = follow
 }
 
 // TerminalSetNames formats a terminal bit set using the grammar's symbol
@@ -154,14 +185,16 @@ func (a *Analysis) TerminalSetNames(s bitset.Set) string {
 
 // TerminalSetNames formats a terminal bit set using g's symbol names.
 func TerminalSetNames(g *Grammar, s bitset.Set) string {
-	out := "{"
+	var b strings.Builder
+	b.WriteByte('{')
 	first := true
 	s.ForEach(func(t int) {
 		if !first {
-			out += " "
+			b.WriteByte(' ')
 		}
 		first = false
-		out += g.SymName(Sym(t))
+		b.WriteString(g.SymName(Sym(t)))
 	})
-	return out + "}"
+	b.WriteByte('}')
+	return b.String()
 }

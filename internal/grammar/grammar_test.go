@@ -1,8 +1,11 @@
 package grammar
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 // exprSrc is the canonical ambiguous expression grammar with yacc
@@ -332,5 +335,37 @@ func TestGrammarStringAndLookups(t *testing.T) {
 	names := g.SymbolNames()
 	if names[0] != "$end" {
 		t.Errorf("SymbolNames[0] = %q", names[0])
+	}
+}
+
+// TestTerminalSetNamesLarge pins TerminalSetNames' exact output on the
+// empty set and on a 400-terminal set: "{", the names in ascending
+// terminal order separated by single spaces, "}".
+func TestTerminalSetNamesLarge(t *testing.T) {
+	b := NewBuilder("wide")
+	var rhs []string
+	for i := 0; i < 399; i++ {
+		name := fmt.Sprintf("t%d", i)
+		b.Terminal(name)
+		rhs = append(rhs, name)
+	}
+	g, err := b.Rule("s", rhs...).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumTerminals() != 400 {
+		t.Fatalf("NumTerminals = %d, want 400", g.NumTerminals())
+	}
+	all := bitset.New(g.NumTerminals())
+	var want []string
+	for i := 0; i < g.NumTerminals(); i++ {
+		all.Add(i)
+		want = append(want, g.SymName(Sym(i)))
+	}
+	if got, w := TerminalSetNames(g, all), "{"+strings.Join(want, " ")+"}"; got != w {
+		t.Errorf("400-terminal set:\n got %.80q…\nwant %.80q…", got, w)
+	}
+	if got := TerminalSetNames(g, bitset.New(g.NumTerminals())); got != "{}" {
+		t.Errorf("empty set = %q, want {}", got)
 	}
 }

@@ -86,6 +86,7 @@ func (s *scanner) errf(line int, format string, args ...any) error {
 }
 
 func (s *scanner) next() (token, error) {
+	//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 	for {
 		if s.pos >= len(s.src) {
 			return token{kind: tEOF, line: s.line}, nil
@@ -104,6 +105,7 @@ func (s *scanner) next() (token, error) {
 		case c == '/' && s.pos+1 < len(s.src) && s.src[s.pos+1] == '*':
 			start := s.line
 			s.pos += 2
+			//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 			for {
 				if s.pos+1 >= len(s.src) {
 					return token{}, s.errf(start, "unterminated /* comment")
@@ -124,6 +126,7 @@ func (s *scanner) next() (token, error) {
 }
 
 func (s *scanner) skipLine() {
+	//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 	for s.pos < len(s.src) && s.src[s.pos] != '\n' {
 		s.pos++
 	}
@@ -146,6 +149,7 @@ func (s *scanner) token() (token, error) {
 		s.pos++
 		start := s.pos
 		var buf strings.Builder
+		//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 		for {
 			if s.pos >= len(s.src) || s.src[s.pos] == '\n' {
 				return token{}, s.errf(line, "unterminated character literal")
@@ -184,6 +188,7 @@ func (s *scanner) token() (token, error) {
 		if s.pos+1 < len(s.src) && s.src[s.pos+1] == '{' {
 			// %{ … %} prologue block (bison): skipped entirely.
 			s.pos += 2
+			//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 			for {
 				if s.pos+1 >= len(s.src) {
 					return token{}, s.errf(line, "unterminated %%{ block")
@@ -200,6 +205,7 @@ func (s *scanner) token() (token, error) {
 		}
 		s.pos++
 		start := s.pos
+		//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 		for s.pos < len(s.src) && (isIdentChar(rune(s.src[s.pos])) || s.src[s.pos] == '-') {
 			s.pos++
 		}
@@ -217,6 +223,7 @@ func (s *scanner) token() (token, error) {
 	case c == '"':
 		s.pos++
 		start := s.pos
+		//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 		for s.pos < len(s.src) && s.src[s.pos] != '"' && s.src[s.pos] != '\n' {
 			if s.src[s.pos] == '\\' {
 				s.pos++
@@ -231,6 +238,7 @@ func (s *scanner) token() (token, error) {
 		return token{kind: tString, text: text, line: line}, nil
 	case c == '<':
 		start := s.pos
+		//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 		for s.pos < len(s.src) && s.src[s.pos] != '>' && s.src[s.pos] != '\n' {
 			s.pos++
 		}
@@ -245,6 +253,7 @@ func (s *scanner) token() (token, error) {
 		// Balanced-brace semantic action, respecting strings, character
 		// literals and comments inside.
 		depth := 0
+		//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 		for s.pos < len(s.src) {
 			switch s.src[s.pos] {
 			case '{':
@@ -262,6 +271,7 @@ func (s *scanner) token() (token, error) {
 			case '\'', '"':
 				q := s.src[s.pos]
 				s.pos++
+				//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 				for s.pos < len(s.src) && s.src[s.pos] != q {
 					if s.src[s.pos] == '\\' {
 						s.pos++
@@ -277,6 +287,7 @@ func (s *scanner) token() (token, error) {
 					s.skipLine()
 				} else if s.pos+1 < len(s.src) && s.src[s.pos+1] == '*' {
 					s.pos += 2
+					//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 					for s.pos+1 < len(s.src) && !(s.src[s.pos] == '*' && s.src[s.pos+1] == '/') {
 						if s.src[s.pos] == '\n' {
 							s.line++
@@ -294,6 +305,7 @@ func (s *scanner) token() (token, error) {
 		return token{}, s.errf(line, "unterminated { action")
 	case c >= '0' && c <= '9':
 		start := s.pos
+		//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 		for s.pos < len(s.src) && s.src[s.pos] >= '0' && s.src[s.pos] <= '9' {
 			s.pos++
 		}
@@ -307,6 +319,7 @@ func (s *scanner) token() (token, error) {
 			return token{}, s.errf(line, "unexpected character %q", c)
 		}
 		start := s.pos
+		//guardloop:ok — every step advances s.pos or returns; bounded by len(src).
 		for s.pos < len(s.src) {
 			r, sz := utf8.DecodeRuneInString(s.src[s.pos:])
 			if r == utf8.RuneError || !isIdentChar(r) {
@@ -350,6 +363,7 @@ func (p *reader) run() error {
 		return err
 	}
 	// Declarations section.
+	//guardloop:ok — every step consumes a token, which advances the scanner; bounded by len(src).
 	for tok.kind != tMark {
 		if tok.kind == tEOF {
 			return p.sc.errf(tok.line, "missing %%%% separator before rules")
@@ -422,6 +436,7 @@ func (p *reader) run() error {
 	if err != nil {
 		return err
 	}
+	//guardloop:ok — every step consumes a token, which advances the scanner; bounded by len(src).
 	for tok.kind != tEOF && tok.kind != tMark {
 		if tok.kind != tIdent {
 			return p.sc.errf(tok.line, "expected rule left-hand side, got %s", tokDesc(tok))
@@ -455,6 +470,7 @@ func (p *reader) run() error {
 func (p *reader) declTerminals(declare func(string)) (token, error) {
 	n := 0
 	last := ""
+	//guardloop:ok — every step consumes a token, which advances the scanner; bounded by len(src).
 	for {
 		tok, err := p.sc.next()
 		if err != nil {
@@ -489,6 +505,7 @@ func (p *reader) declTerminals(declare func(string)) (token, error) {
 // skipArgs consumes declaration arguments (identifiers, tags, strings,
 // numbers, literals, { } blocks) and returns the first structural token.
 func (p *reader) skipArgs() (token, error) {
+	//guardloop:ok — every step consumes a token, which advances the scanner; bounded by len(src).
 	for {
 		tok, err := p.sc.next()
 		if err != nil {
@@ -529,6 +546,7 @@ func (p *reader) rules(lhs string) (token, error) {
 		precName = ""
 		sawEmpty = false
 	}
+	//guardloop:ok — every step consumes a token, which advances the scanner; bounded by len(src).
 	for {
 		tok, err := p.sc.next()
 		if err != nil {

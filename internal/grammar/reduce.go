@@ -39,35 +39,19 @@ func (u *Usefulness) Useless(g *Grammar) []string {
 	return out
 }
 
-// CheckUseful computes productive and reachable symbol sets.  Reachability
-// is computed through productive productions only, matching the standard
-// two-phase reduction algorithm (remove unproductive first, then
-// unreachable).
+// CheckUseful computes productive and reachable symbol sets: the
+// productive set on derive's counter worklist, then reachability through
+// productive productions only, matching the standard two-phase reduction
+// algorithm (remove unproductive first, then unreachable).
 func CheckUseful(g *Grammar) *Usefulness {
-	u := &Usefulness{
-		Productive: make([]bool, g.NumNonterminals()),
-		Reachable:  make([]bool, g.NumSymbols()),
+	productive, err := derive(g, true, nil)
+	if err != nil {
+		// A nil Budget enforces nothing; no error is possible.
+		panic(err)
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range g.prods {
-			p := &g.prods[i]
-			ni := g.NtIndex(p.Lhs)
-			if u.Productive[ni] {
-				continue
-			}
-			ok := true
-			for _, s := range p.Rhs {
-				if g.IsNonterminal(s) && !u.Productive[g.NtIndex(s)] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				u.Productive[ni] = true
-				changed = true
-			}
-		}
+	u := &Usefulness{
+		Productive: productive,
+		Reachable:  make([]bool, g.NumSymbols()),
 	}
 
 	prodOK := func(p *Production) bool {
@@ -81,6 +65,7 @@ func CheckUseful(g *Grammar) *Usefulness {
 	u.Reachable[g.Accept()] = true
 	u.Reachable[EOF] = true
 	work := []Sym{g.Accept()}
+	//guardloop:ok — each nonterminal is pushed once, when first marked reachable.
 	for len(work) > 0 {
 		a := work[len(work)-1]
 		work = work[:len(work)-1]

@@ -32,6 +32,9 @@ func NewSentenceGenerator(g *Grammar) (*SentenceGenerator, error) {
 		sg.minHeight[i] = inf
 		sg.shortest[i] = -1
 	}
+	// Bellman–Ford rounds: after round k every minimum height ≤ k is
+	// final, and no minimum height exceeds the nonterminal count.
+	//guardloop:ok — at most NumNonterminals()+1 rounds; lalrgen and tests only, never a request.
 	for changed := true; changed; {
 		changed = false
 		for pi := range g.prods {

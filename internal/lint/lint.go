@@ -435,7 +435,11 @@ func Run(g *grammar.Grammar, opts Options) (rep *Report, err error) {
 
 	sp := rec.Start("lint-facts")
 	if needs&FactAnalysis != 0 {
-		pass.An = grammar.Analyze(g)
+		pass.An, err = grammar.AnalyzeBudgeted(g, bud)
+		if err != nil {
+			sp.End()
+			return nil, err
+		}
 	}
 	if needs&FactUsefulness != 0 {
 		pass.Useful = grammar.CheckUseful(g)

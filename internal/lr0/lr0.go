@@ -122,8 +122,12 @@ func NewObserved(g *grammar.Grammar, an *grammar.Analysis, rec *obs.Recorder) *A
 func NewBudgeted(g *grammar.Grammar, an *grammar.Analysis, rec *obs.Recorder, bud *guard.Budget) (*Automaton, error) {
 	if an == nil {
 		sp := rec.Start("grammar-analysis")
-		an = grammar.Analyze(g)
+		var err error
+		an, err = grammar.AnalyzeBudgeted(g, bud)
 		sp.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 	a := &Automaton{G: g, An: an}
 	sp := rec.Start("lr0-states")

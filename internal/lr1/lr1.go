@@ -79,7 +79,10 @@ func New(g *grammar.Grammar, an *grammar.Analysis) *Machine {
 // it identical to New.
 func NewBudgeted(g *grammar.Grammar, an *grammar.Analysis, bud *guard.Budget) (*Machine, error) {
 	if an == nil {
-		an = grammar.Analyze(g)
+		var err error
+		if an, err = grammar.AnalyzeBudgeted(g, bud); err != nil {
+			return nil, err
+		}
 	}
 	m := &Machine{G: g, An: an}
 	defer bud.Phase(bud.Phase("lr1-states"))

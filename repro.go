@@ -232,8 +232,11 @@ func Analyze(g *Grammar, opts Options) (res *Result, err error) {
 	bud := guard.New(opts.Context, opts.Limits, rec)
 	bud.SetOwner(g.Name())
 	sp := rec.Start("grammar-analysis")
-	an := grammar.Analyze(g)
+	an, err := grammar.AnalyzeBudgeted(g, bud)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	sp = rec.Start("lr0-construction")
 	a, err := lr0.NewBudgeted(g, an, rec, bud)
 	sp.End()
