@@ -28,7 +28,10 @@ test:
 # request handling, the shard-merged telemetry histograms, the frozen
 # store consulted from request goroutines, the ambiguity walks fanned
 # out under forked budgets, and the cluster peer layer (hedged fetches,
-# breakers, async offers) — run under the race detector.  The digraph
+# breakers, async offers) — run under the race detector.  The server
+# package carries the end-to-end suites the *-smoke targets name (the
+# two-life frozen restart, the 3-node fleet with a node killed under
+# concurrent load), so those run raced here too.  The digraph
 # and prop packages are serial; they stay on the list so that any
 # concurrency added to the look-ahead solvers is raced from the start.
 race:
@@ -46,26 +49,44 @@ benchsmoke:
 smoke:
 	$(GO) run ./cmd/lalrbench -quick -metrics-out /dev/null
 
-# Serving smoke (DESIGN.md § 10): boot an in-process lalrd and drive
-# the full serving story over real HTTP — cold request, cache hit with
-# a byte-identical body, /metricz accounting, a 422 limit trip the
-# server survives, clean drain-and-shutdown.
+# The four lalrd smoke targets run named end-to-end httptest suites
+# from internal/server and cmd/lalrd.  run-tests fails unless every
+# named test ran and passed: a go test -run pattern that matches
+# nothing prints "no tests to run" and passes.
+empty :=
+space := $(empty) $(empty)
+run-tests = mkdir -p bin && \
+	$(GO) test -v -run '^($(subst $(space),|,$(strip $(1))))$$' ./internal/server/ ./cmd/lalrd/ >bin/$@.log 2>&1 \
+		|| { cat bin/$@.log; exit 1; }; \
+	for t in $(1); do grep -q "^--- PASS: $$t " bin/$@.log || { echo "$@: $$t did not run"; exit 1; }; done; \
+	echo "$@: $(words $(1)) tests passed"
+
+# Serving smoke (DESIGN.md § 10): cold request, cache hit with a
+# byte-identical body, lint hit, /metricz accounting, a 422 limit trip
+# the server survives, a tiny evicting cache that never corrupts, flag
+# plumbing, and lalrd's real serve path booting and draining on SIGTERM.
+SERVE_SMOKE_TESTS = TestHealthz TestAnalyzeCacheHitByteIdentical TestLintEndpointCached \
+	TestLimitTripIs422AndServerSurvives TestTinyCacheEvictionIsNotCorruption \
+	TestFlagErrors TestServeHonorsCacheFlags TestServeGracefulShutdown
 serve-smoke:
-	$(GO) run ./cmd/lalrd -smoke
+	@$(call run-tests,$(SERVE_SMOKE_TESTS))
 
-# Telemetry smoke (DESIGN.md § 11): boot an in-process lalrd and check
-# the observability story over real HTTP — request-id echo, trace
-# retrieval by id, Prometheus exposition through the strict validator,
-# /metricz latency digests, build info, JSON access-log records.
+# Telemetry smoke (DESIGN.md § 11): request-id echo, trace retrieval by
+# id, Prometheus exposition through the strict validator, /metricz
+# latency digests, build info, JSON access-log records.
+TELEMETRY_SMOKE_TESTS = TestRequestIDHeaderOnEveryResponse TestTraceRoundTripByRequestID \
+	TestMetriczPromExposition TestMetriczJSONTelemetrySections TestHealthzUptimeAndBuild \
+	TestAccessLogJSONRecords
 telemetry-smoke:
-	$(GO) run ./cmd/lalrd -telemetry-smoke
+	@$(call run-tests,$(TELEMETRY_SMOKE_TESTS))
 
-# Frozen-store smoke (DESIGN.md § 12): two lalrd lives on one store
-# directory — the first analyzes cold and freezes the tables, the
-# restart answers the same grammar with X-Repro-Cache: frozen, a
-# byte-identical body and zero analysis phases in its trace.
+# Frozen-store smoke (DESIGN.md § 12): two Server lives on one store
+# directory — the restart answers X-Repro-Cache: frozen with a
+# byte-identical body and zero analysis phases, only under the filename
+# the body was frozen for; a corrupt table is quarantined and re-frozen.
+FROZEN_SMOKE_TESTS = TestFrozenRestart TestFrozenRestartUnderNewFilename TestQuarantineAndRefreezeOnServe
 frozen-smoke:
-	$(GO) run ./cmd/lalrd -frozen-smoke
+	@$(call run-tests,$(FROZEN_SMOKE_TESTS))
 
 # Governance smoke (DESIGN.md § 9): the limit-trip, cancellation and
 # fault-injection tests (the driver ones under -race), then a bounded
@@ -84,13 +105,15 @@ guard-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Fleet smoke (DESIGN.md § 14): a 3-node lalrd fleet on localhost
-# replays the corpus under concurrent load, one node is killed
-# mid-replay, and the run passes only with zero client-visible errors,
-# observed peer fills (X-Repro-Cache: peer), a tripped breaker for the
-# corpse, and /readyz flipping on drain.
+# Fleet smoke (DESIGN.md § 14): a 3-node fleet replays the corpus under
+# concurrent load and one node is killed — zero client-visible errors,
+# byte-identical bodies, peer fills, a tripped breaker for the dead
+# node — plus partition equivalence, filename-checked fills, and
+# /readyz flipping on drain.
+CLUSTER_SMOKE_TESTS = TestClusterNodeKill TestClusterPeerFill TestPeerFillUnderNewFilename \
+	TestClusterPartitionEquivalence TestReadyzLifecycle TestDrainUnderLoad
 cluster-smoke:
-	$(GO) run ./cmd/lalrd -cluster-smoke
+	@$(call run-tests,$(CLUSTER_SMOKE_TESTS))
 
 # Ambiguity smoke (DESIGN.md § 13): the prover must reach both proven
 # verdicts on the canonical pair — dangling-else is a true ambiguity

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	lalrd [flags]
-//	lalrd -smoke
 //
 // Flags:
 //
@@ -23,11 +22,6 @@
 //	-ring-replicas N, -peer-timeout D, -peer-retries N, -hedge-after D,
 //	-breaker-failures N, -breaker-cooldown D
 //	                peer-layer tuning (see DESIGN.md § 14)
-//	-smoke          run the self-contained end-to-end smoke check and exit
-//	-telemetry-smoke run the telemetry end-to-end smoke check and exit
-//	-frozen-smoke   run the frozen-store warm-restart smoke check and exit
-//	-cluster-smoke  run the 3-node fleet smoke check (kill a node under
-//	                load, expect zero client-visible errors) and exit
 //
 // Endpoints: POST /v1/analyze, POST /v1/lint, POST /v1/batch,
 // GET /v1/peer/table/{fp} and PUT (fleet-internal frozen-table
@@ -40,6 +34,12 @@
 // 503 so balancers stop routing, the listener closes, in-flight
 // requests drain (bounded by a grace period), then the peer layer
 // closes and the process exits.
+//
+// The binary carries no self-test mode.  The end-to-end checks of the
+// serving, telemetry, warm-restart and fleet stories are httptest
+// suites in internal/server and this package's tests; the make targets
+// serve-smoke, telemetry-smoke, frozen-smoke and cluster-smoke run
+// them by name.  Load and latency are measured by lalrdbench.
 package main
 
 import (
@@ -77,10 +77,6 @@ func run(args []string, out io.Writer) error {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8077", "listen address (host:port; :0 picks a free port)")
 		portFile = fs.String("port-file", "", "write the bound TCP port to this file once listening")
-		smoke    = fs.Bool("smoke", false, "run the end-to-end smoke check against an in-process server and exit")
-		telSmoke = fs.Bool("telemetry-smoke", false, "run the telemetry end-to-end smoke check against an in-process server and exit")
-		frzSmoke = fs.Bool("frozen-smoke", false, "run the frozen-store warm-restart smoke check and exit")
-		clSmoke  = fs.Bool("cluster-smoke", false, "run the 3-node fleet smoke check (node kill under load) and exit")
 	)
 	sf := cliguard.RegisterServer(fs)
 	if err := fs.Parse(args); err != nil {
@@ -101,23 +97,11 @@ func run(args []string, out io.Writer) error {
 		},
 		AccessLog: sf.LogFormat.Logger(os.Stderr),
 	}
-	if *smoke {
-		return runSmoke(out, cfg)
-	}
-	if *telSmoke {
-		return runTelemetrySmoke(out, cfg)
-	}
-	if *frzSmoke {
-		return runFrozenSmoke(out, cfg)
-	}
-	if *clSmoke {
-		return runClusterSmoke(out, cfg)
-	}
 	if ccfg, ok, err := sf.ClusterConfig(); err != nil {
 		return err
 	} else if ok {
 		ccfg.Transport = &cluster.HTTPTransport{}
-		ccfg.Verify = verifyFrozen
+		ccfg.Verify = frozen.Verify
 		ccfg.Logf = cfg.Logf
 		cl, err := cluster.New(ccfg)
 		if err != nil {
@@ -126,20 +110,6 @@ func run(args []string, out io.Writer) error {
 		cfg.Cluster = cl // the server owns it now; Close() releases it
 	}
 	return serve(out, cfg, *addr, *portFile)
-}
-
-// verifyFrozen is the peer-layer byte validator: fetched bytes must be
-// a decodable FRZ1 record whose recorded fingerprint matches the one
-// we asked for.  A failure counts against the serving peer.
-func verifyFrozen(fp string, raw []byte) error {
-	t, err := frozen.Decode(raw)
-	if err != nil {
-		return err
-	}
-	if t.Fingerprint != fp {
-		return fmt.Errorf("peer bytes record fingerprint %q, want %q", t.Fingerprint, fp)
-	}
-	return nil
 }
 
 // serve listens on addr and runs the server until SIGINT/SIGTERM, then

@@ -200,6 +200,21 @@ func int32Bytes(a []int32) []byte {
 	return b
 }
 
+// Verify checks that raw is a decodable FRZ1 record whose recorded
+// fingerprint is fp.  PutBytes runs it before any write, and lalrd
+// wires it as the fleet's peer-byte validator (cluster.Config.Verify).
+// A failure matches ErrCorrupt.
+func Verify(fp string, raw []byte) error {
+	t, err := Decode(raw)
+	if err != nil {
+		return err
+	}
+	if t.Fingerprint != fp {
+		return corrupt(0, "fingerprint mismatch: bytes record %q, want %q", t.Fingerprint, fp)
+	}
+	return nil
+}
+
 // Decode parses frozen bytes into zero-copy views.  It validates the
 // magic, version, CRC and every section bound before returning; any
 // violation is a *DecodeError (matching ErrCorrupt), never a panic.

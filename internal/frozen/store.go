@@ -126,21 +126,17 @@ func (s *Store) LoadBytes(fingerprint string) ([]byte, error) {
 }
 
 // PutBytes stores already-frozen bytes under a fingerprint — the
-// fill-from-peer path.  The bytes are fully validated first (decode,
-// CRC, recorded fingerprint must equal the claimed one), so a corrupt
-// or lying peer can never plant a table; then the write is the same
-// atomic temp+rename as Save.
+// fill-from-peer path.  The bytes are fully validated first by Verify
+// (decode, CRC, recorded fingerprint must equal the claimed one), so a
+// corrupt or lying peer can never plant a table; then the write is the
+// same atomic temp+rename as Save.
 func (s *Store) PutBytes(fingerprint string, raw []byte) error {
 	p, err := s.path(fingerprint)
 	if err != nil {
 		return err
 	}
-	t, err := Decode(raw)
-	if err != nil {
+	if err := Verify(fingerprint, raw); err != nil {
 		return err
-	}
-	if t.Fingerprint != fingerprint {
-		return corrupt(0, "fingerprint mismatch: bytes record %q, claimed %q", t.Fingerprint, fingerprint)
 	}
 	tmp, err := os.CreateTemp(s.dir, ".frz-*")
 	if err != nil {

@@ -26,11 +26,12 @@ import (
 // as is the reserved error-recovery terminal "error".  Other bare
 // identifiers must either be declared with %token/%left/... or appear as
 // a left-hand side; anything else is an error, matching yacc's
-// strictness.  filename is used in error messages only.
+// strictness.  filename is used in error messages and, through
+// NameFromFile, names the grammar.
 func Parse(filename, src string) (*Grammar, error) {
 	p := &reader{
 		sc:    scanner{file: filename, src: src, line: 1},
-		b:     NewBuilder(strings.TrimSuffix(path.Base(filename), ".y")),
+		b:     NewBuilder(NameFromFile(filename)),
 		decl:  map[string]bool{},
 		lhs:   map[string]bool{},
 		alias: map[string]string{},
@@ -39,6 +40,14 @@ func Parse(filename, src string) (*Grammar, error) {
 		return nil, err
 	}
 	return p.b.Build()
+}
+
+// NameFromFile is the name Parse gives a grammar read from filename:
+// its base name without a ".y" suffix.  The name appears in exported
+// reports, so two filenames that map to different names yield
+// different reports for the same text.
+func NameFromFile(filename string) string {
+	return strings.TrimSuffix(path.Base(filename), ".y")
 }
 
 // MustParse is Parse for statically known-good grammar text; it panics on

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,20 +18,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/frozen"
+	"repro/internal/grammars"
 )
-
-// verifyFRZ is the Verify hook production lalrd wires: decode + the
-// claimed fingerprint must match the recorded one.
-func verifyFRZ(fp string, raw []byte) error {
-	t, err := frozen.Decode(raw)
-	if err != nil {
-		return err
-	}
-	if t.Fingerprint != fp {
-		return fmt.Errorf("peer bytes record fingerprint %q, want %q", t.Fingerprint, fp)
-	}
-	return nil
-}
 
 // fleetNode is one test fleet member: its HTTP server, the Server, and
 // the cluster handle (for ring lookups and direct stats).
@@ -56,7 +47,7 @@ func newFleet(t *testing.T, n int, mutServer func(i int, cfg *Config), mutCluste
 			Self:        node.url,
 			Peers:       urls,
 			Transport:   &cluster.HTTPTransport{},
-			Verify:      verifyFRZ,
+			Verify:      frozen.Verify,
 			PeerTimeout: 2 * time.Second,
 			BackoffBase: time.Millisecond,
 			BackoffCap:  5 * time.Millisecond,
@@ -100,6 +91,22 @@ func grammarOwnedBy(t *testing.T, cl *cluster.Cluster, owner string) (src, fp st
 	return "", ""
 }
 
+// waitForTable waits until the node behind ts serves fp's frozen
+// table to peers.  Offers to ring owners are asynchronous.
+func waitForTable(t *testing.T, ts *httptest.Server, fp string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if resp, _ := get(t, ts, "/v1/peer/table/"+fp); resp.StatusCode == http.StatusOK {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("table %s never landed on %s", fp, ts.URL)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestPeerTableEndpoints covers the peer-exchange HTTP surface
 // directly: GET serves stored bytes, 404s an absent fingerprint, PUT
 // accepts valid offers and rejects corrupt or lying ones.
@@ -118,7 +125,7 @@ func TestPeerTableEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("peer GET content type = %q", ct)
 	}
-	if err := verifyFRZ(fp, raw); err != nil {
+	if err := frozen.Verify(fp, raw); err != nil {
 		t.Fatalf("served bytes do not verify: %v", err)
 	}
 
@@ -249,6 +256,73 @@ func TestQuarantineAndRefreezeOnServe(t *testing.T) {
 	}
 }
 
+// TestFrozenRestart is the warm-restart story over real HTTP: a first
+// Server life analyzes cold and freezes the table; a second life on
+// the same store directory answers frozen with a byte-identical body
+// and a trace entry without analysis phases (the pipeline never ran);
+// the repeat is then a memory hit.
+func TestFrozenRestart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	req := AnalyzeRequest{Grammar: danglingElse, Filename: "dangling-else.y"}
+
+	first := httptest.NewServer(New(Config{CacheBytes: 1 << 20, StoreDir: dir}))
+	resp, cold := post(t, first, "/v1/analyze", req)
+	first.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Repro-Cache") != "miss" {
+		t.Fatalf("first life: status %d outcome %q, want 200 miss", resp.StatusCode, resp.Header.Get("X-Repro-Cache"))
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.frz")); len(files) != 1 {
+		t.Fatalf("store holds %d .frz files after the miss, want 1", len(files))
+	}
+
+	second := newTestServer(t, Config{CacheBytes: 1 << 20, StoreDir: dir})
+	resp, body := post(t, second, "/v1/analyze", req)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Repro-Cache") != "frozen" {
+		t.Fatalf("second life: status %d outcome %q, want 200 frozen", resp.StatusCode, resp.Header.Get("X-Repro-Cache"))
+	}
+	if !bytes.Equal(body, cold) {
+		t.Fatal("frozen body differs from the computed one")
+	}
+	tr := fetchTrace(t, second, resp.Header.Get("X-Repro-Request-Id"))
+	if len(tr.Entries) != 1 || tr.Entries[0].Outcome != "frozen" || len(tr.Entries[0].Phases) != 0 {
+		t.Fatalf("frozen trace entries = %+v, want one frozen entry without phases", tr.Entries)
+	}
+	if m := metricz(t, second); m.Counters["frozen_hits"] < 1 {
+		t.Fatalf("frozen_hits = %d, want >= 1", m.Counters["frozen_hits"])
+	}
+	resp, body = post(t, second, "/v1/analyze", req)
+	if resp.Header.Get("X-Repro-Cache") != "hit" || !bytes.Equal(body, cold) {
+		t.Fatalf("repeat: outcome %q, identical %t; want a byte-identical hit", resp.Header.Get("X-Repro-Cache"), bytes.Equal(body, cold))
+	}
+}
+
+// TestFrozenRestartUnderNewFilename: the store keys by text and
+// method, but the body names the grammar after the request's filename.
+// After a restart, the same text under another filename recomputes
+// (miss), byte-identical to a fresh analysis, and the re-freeze then
+// serves that filename.
+func TestFrozenRestartUnderNewFilename(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	_, want := post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar, Filename: "b.y"})
+
+	first := httptest.NewServer(New(Config{StoreDir: dir}))
+	post(t, first, "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar, Filename: "a.y"})
+	first.Close()
+
+	// CacheBytes 0: every request reaches the store.
+	second := newTestServer(t, Config{StoreDir: dir})
+	for _, out := range []string{"miss", "frozen"} {
+		resp, body := post(t, second, "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar, Filename: "b.y"})
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Repro-Cache") != out {
+			t.Fatalf("b.y after a.y was frozen: status %d outcome %q, want 200 %s",
+				resp.StatusCode, resp.Header.Get("X-Repro-Cache"), out)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("b.y %s body differs from a fresh analysis of b.y", out)
+		}
+	}
+}
+
 // TestClusterPeerFill is the warm fleet path end to end over real
 // HTTP: a storeless node computes, offers the table to its ring owner,
 // and its next cold miss fills from that peer (X-Repro-Cache: peer)
@@ -272,17 +346,7 @@ func TestClusterPeerFill(t *testing.T) {
 		t.Fatalf("first request: status %d outcome %q, want 200 miss",
 			resp1.StatusCode, resp1.Header.Get("X-Repro-Cache"))
 	}
-	// The offer to the owner is async; wait for it to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if resp, _ := get(t, b.ts, "/v1/peer/table/"+fp); resp.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("offered table never landed on the ring owner")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitForTable(t, b.ts, fp)
 
 	resp2, body2 := post(t, a.ts, "/v1/analyze", AnalyzeRequest{Grammar: src})
 	if resp2.StatusCode != http.StatusOK {
@@ -303,6 +367,43 @@ func TestClusterPeerFill(t *testing.T) {
 	}
 	if mb := metricz(t, b.ts); mb.Counters["peer_offers_accepted"] < 1 || mb.Counters["peer_serves"] < 1 {
 		t.Fatalf("owner counters = %v, want an accepted offer and a serve", mb.Counters)
+	}
+}
+
+// TestPeerFillUnderNewFilename: the ring keys by text and method, but
+// the body names the grammar after the request's filename.  Bytes the
+// owner holds for the text under another filename answer a different
+// request, so the node computes (miss), byte-identical to a fresh
+// analysis, and the peer is charged nothing for serving them.
+func TestPeerFillUnderNewFilename(t *testing.T) {
+	nodes := newFleet(t, 2,
+		func(i int, cfg *Config) {
+			if i == 0 {
+				cfg.CacheBytes = 0
+				cfg.StoreDir = ""
+			}
+		},
+		nil)
+	a, b := nodes[0], nodes[1]
+	src, fp := grammarOwnedBy(t, a.cl, b.url)
+	_, want := post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "b.y"})
+
+	post(t, a.ts, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "a.y"})
+	waitForTable(t, b.ts, fp)
+	resp, body := post(t, a.ts, "/v1/analyze", AnalyzeRequest{Grammar: src, Filename: "b.y"})
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Repro-Cache") != "miss" {
+		t.Fatalf("b.y after a.y was offered: status %d outcome %q, want 200 miss",
+			resp.StatusCode, resp.Header.Get("X-Repro-Cache"))
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("b.y body differs from a fresh analysis of b.y")
+	}
+	m := metricz(t, a.ts)
+	if m.Cluster == nil || m.Cluster.Fills < 1 {
+		t.Fatalf("cluster stats = %+v, want the owner's bytes fetched", m.Cluster)
+	}
+	if st := m.Cluster.Peers[0]; m.Counters["peer_degrades"] != 0 || st.Errors != 0 || st.State != "closed" {
+		t.Fatalf("peer charged for a name mismatch: peer_degrades %d, breaker %+v", m.Counters["peer_degrades"], st)
 	}
 }
 
@@ -380,6 +481,141 @@ func TestClusterPartitionEquivalence(t *testing.T) {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("prom exposition missing %s", want)
 		}
+	}
+}
+
+// TestClusterNodeKill is the fleet story under concurrent load: three
+// nodes replay the corpus cold, offers converge on their ring owners,
+// a warm replay on other nodes fills from peers, then one node dies
+// and grammars it owns go to the survivors.  Every request must
+// succeed with a body byte-identical to every other answer for the
+// same grammar, and some survivor's breaker must trip for the dead
+// node.
+func TestClusterNodeKill(t *testing.T) {
+	nodes := newFleet(t, 3, nil, func(i int, cfg *cluster.Config) {
+		// One retry keeps the dead-node phase brisk; the breaker trips
+		// after two failures and stays open long enough to observe.
+		cfg.Retries = 1
+		cfg.BreakerFailures = 2
+		cfg.BreakerCooldown = time.Minute
+	})
+	byURL := map[string]*fleetNode{}
+	for _, n := range nodes {
+		byURL[n.url] = n
+	}
+
+	type job struct {
+		node      *fleetNode
+		name, src string
+	}
+	var (
+		mu       sync.Mutex
+		bodies   = map[string][]byte{} // grammar name -> first body seen
+		outcomes = map[string]int{}
+	)
+	analyze := func(j job) {
+		req, _ := json.Marshal(AnalyzeRequest{Grammar: j.src, Filename: j.name + ".y"})
+		resp, err := http.Post(j.node.url+"/v1/analyze", "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Errorf("%s on %s: %v", j.name, j.node.url, err)
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s on %s: status %d, %v", j.name, j.node.url, resp.StatusCode, err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		outcomes[resp.Header.Get("X-Repro-Cache")]++
+		if prev, ok := bodies[j.name]; !ok {
+			bodies[j.name] = body
+		} else if !bytes.Equal(prev, body) {
+			t.Errorf("%s on %s: body differs from an earlier answer", j.name, j.node.url)
+		}
+	}
+	// replay sends the jobs from six concurrent clients and returns the
+	// outcome counts of this round.
+	replay := func(round string, jobs []job) map[string]int {
+		t.Helper()
+		mu.Lock()
+		outcomes = map[string]int{}
+		mu.Unlock()
+		ch := make(chan job)
+		var wg sync.WaitGroup
+		for w := 0; w < 6; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range ch {
+					analyze(j)
+				}
+			}()
+		}
+		for _, j := range jobs {
+			ch <- j
+		}
+		close(ch)
+		wg.Wait()
+		if t.Failed() {
+			t.Fatalf("%s replay: client-visible errors", round)
+		}
+		return outcomes
+	}
+
+	corpus := grammars.All()
+	var jobs []job
+	for i, g := range corpus {
+		jobs = append(jobs, job{nodes[i%3], g.Name, g.Src})
+	}
+	replay("cold", jobs)
+	for _, g := range corpus {
+		fp := repro.Fingerprint(g.Src, repro.Options{})
+		waitForTable(t, byURL[nodes[0].cl.Owner(fp)].ts, fp)
+	}
+
+	// Each grammar goes to a node that never saw it: the ring owner
+	// answers from its store, every other node fills from the owner.
+	jobs = jobs[:0]
+	for i, g := range corpus {
+		jobs = append(jobs, job{nodes[(i+1)%3], g.Name, g.Src})
+	}
+	if out := replay("warm", jobs); out["peer"] < 1 || out["peer"]+out["frozen"] != len(corpus) {
+		t.Fatalf("warm replay outcomes = %v, want only peer fills and owner store reads", out)
+	}
+
+	victim, survivors := nodes[2], nodes[:2]
+	victim.ts.Close()
+	// Variants owned by the dead node: each fetch tries the corpse,
+	// fails and degrades to a local compute.  The corpus rides along on
+	// the survivors to re-prove byte identity under the same load.
+	jobs = jobs[:0]
+	for i := 1; len(jobs) < 4 && i < 256; i++ {
+		src := corpus[0].Src + strings.Repeat("\n", i)
+		if nodes[0].cl.Owner(repro.Fingerprint(src, repro.Options{})) == victim.url {
+			jobs = append(jobs, job{survivors[len(jobs)%2], fmt.Sprintf("%s-v%d", corpus[0].Name, i), src})
+		}
+	}
+	if len(jobs) < 4 {
+		t.Fatal("too few grammar variants owned by the dead node")
+	}
+	variants := len(jobs)
+	for i, g := range corpus {
+		jobs = append(jobs, job{survivors[i%2], g.Name, g.Src})
+	}
+	if out := replay("degraded", jobs); out["miss"] < variants {
+		t.Fatalf("degraded replay outcomes = %v, want the %d dead-owned variants computed locally", out, variants)
+	}
+
+	tripped := false
+	for _, n := range survivors {
+		for _, ps := range n.cl.Stats().Peers {
+			tripped = tripped || (ps.Peer == victim.url && ps.Trips >= 1)
+		}
+	}
+	if !tripped {
+		t.Fatalf("no survivor's breaker tripped for the dead node %s", victim.url)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/export"
 	"repro/internal/frozen"
+	"repro/internal/grammar"
 	"repro/internal/guard"
 	"repro/internal/lint"
 	"repro/internal/obs"
@@ -444,18 +445,23 @@ func budgetError(err error) bool {
 func (s *Server) analyzeOne(ctx context.Context, src, filename string, method repro.Method, limits *LimitsPayload, timeoutMS int64) ([]byte, cache.Outcome, error) {
 	fp := cache.Fingerprint(src, method.String())
 	key := cache.Key("analyze", fp, filename)
+	name := grammar.NameFromFile(filename)
 	var phases []obs.SpanExport
 	fromStore, fromPeer := false, false
 	body, out, err := s.getOrCompute(key, func() ([]byte, error) {
 		// Warm-restart path: a frozen table for this fingerprint carries
 		// the canonical response body, so the whole analysis pipeline —
 		// and its phase spans — is skipped.  The fingerprint is a content
-		// address of (src, method), so a hit is exact by construction.
+		// address of (src, method); the body also names the grammar after
+		// the filename, so it is served only under the same name.  A body
+		// frozen under another name is recomputed, and re-frozen, below.
 		if s.store != nil {
 			switch ft, err := s.store.Load(fp); {
 			case err == nil && len(ft.Body) > 0:
-				fromStore = true
-				return ft.Body, nil
+				if bodyNamed(ft.Body, name) {
+					fromStore = true
+					return ft.Body, nil
+				}
 			case errors.Is(err, frozen.ErrCorrupt):
 				// A damaged file must not poison this fingerprint forever:
 				// move it aside as <fp>.corrupt and recompute — the fresh
@@ -480,7 +486,13 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 		if s.cluster != nil {
 			switch raw, from, ferr := s.cluster.Fetch(cctx, fp); {
 			case ferr == nil:
-				if ft, derr := frozen.Decode(raw); derr == nil && ft.Fingerprint == fp && len(ft.Body) > 0 {
+				switch ft, derr := frozen.Decode(raw); {
+				case derr != nil || ft.Fingerprint != fp || len(ft.Body) == 0:
+					// Config.Verify normally rejects this inside the fetch; a
+					// cluster wired without it still must not serve bad bytes.
+					s.addCounter("peer_degrades", 1)
+					s.logf("peer fill %s from %s: undecodable bytes", fp, from)
+				case bodyNamed(ft.Body, name):
 					fromPeer = true
 					if s.store != nil {
 						if perr := s.store.PutBytes(fp, raw); perr != nil {
@@ -490,10 +502,8 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 					}
 					return ft.Body, nil
 				}
-				// Config.Verify normally rejects this inside the fetch; a
-				// cluster wired without it still must not serve bad bytes.
-				s.addCounter("peer_degrades", 1)
-				s.logf("peer fill %s from %s: undecodable bytes", fp, from)
+				// Sound bytes named for another filename: the peer did
+				// nothing wrong, the body just answers a different request.
 			case errors.Is(ferr, cluster.ErrNotFound), errors.Is(ferr, cluster.ErrNoPeers):
 				// A healthy "nobody has it": compute without ceremony.
 			default:
@@ -548,6 +558,25 @@ func (s *Server) analyzeOne(ctx context.Context, src, filename string, method re
 		Label: filename, Fingerprint: fp, Outcome: out.String(), Phases: phases,
 	})
 	return body, out, err
+}
+
+// bodyNamed reports whether a canonical analyze body (marshalBody of
+// an AnalyzeResponse) names its grammar name.  The envelope fields
+// ahead of the report are fixed strings and hex, report.grammar is the
+// report's first field and name is its first, so the first `"grammar":
+// {` is report.grammar and the check reads only the body's head.
+func bodyNamed(body []byte, name string) bool {
+	const key = `"grammar": {`
+	i := bytes.Index(body, []byte(key))
+	if i < 0 {
+		return false
+	}
+	lit, err := json.Marshal(name)
+	if err != nil {
+		return false
+	}
+	rest := bytes.TrimLeft(body[i+len(key):], " \n")
+	return bytes.HasPrefix(rest, append([]byte(`"name": `), lit...))
 }
 
 // saveFrozen freezes a computed analysis — the packed row-displacement

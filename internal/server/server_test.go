@@ -77,6 +77,9 @@ func metricz(t *testing.T, ts *httptest.Server) MetriczResponse {
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatalf("/metricz body: %v", err)
 	}
+	if m.Schema != Schema || m.Kind != "metricz" {
+		t.Fatalf("/metricz envelope = %s/%s", m.Schema, m.Kind)
+	}
 	return m
 }
 
@@ -195,8 +198,9 @@ func TestLimitTripIs422AndServerSurvives(t *testing.T) {
 	// Failures are not cached: the same grammar without limits
 	// computes fine, and the server kept serving throughout.
 	resp2, _ := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar})
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("after limit trip: status = %d, want 200", resp2.StatusCode)
+	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Repro-Cache") != "miss" {
+		t.Fatalf("after limit trip: status = %d cache = %s, want 200 miss",
+			resp2.StatusCode, resp2.Header.Get("X-Repro-Cache"))
 	}
 	// And now that a result exists, even a tightly-limited request is
 	// served from cache — a hit spends no governed resources.
@@ -727,6 +731,33 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestTinyCacheEvictionIsNotCorruption: a cache budget that holds one
+// body per shard evicts constantly, and every answer — hit or
+// recomputed — stays byte-identical to the first one for its key.
+func TestTinyCacheEvictionIsNotCorruption(t *testing.T) {
+	_, one := post(t, newTestServer(t, Config{}), "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar, Filename: "g0.y"})
+	// 16 shards, each with room for one body and a half.
+	ts := newTestServer(t, Config{CacheBytes: 16 * int64(len(one)*3/2)})
+	first := map[string][]byte{}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 40; i++ {
+			name := fmt.Sprintf("g%d.y", i)
+			resp, body := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: tinyGrammar, Filename: name})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s round %d: status %d", name, round, resp.StatusCode)
+			}
+			if prev, ok := first[name]; !ok {
+				first[name] = body
+			} else if !bytes.Equal(prev, body) {
+				t.Fatalf("%s round %d (%s): body differs from round 0", name, round, resp.Header.Get("X-Repro-Cache"))
+			}
+		}
+	}
+	if m := metricz(t, ts); m.Cache.Evictions < 1 {
+		t.Fatalf("cache = %+v, want evictions", m.Cache)
+	}
+}
+
 func TestUncachedServerStillServes(t *testing.T) {
 	ts := newTestServer(t, Config{CacheBytes: 0})
 	for i := 0; i < 2; i++ {
@@ -739,5 +770,3 @@ func TestUncachedServerStillServes(t *testing.T) {
 		}
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt imported if assertions above change
