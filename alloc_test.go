@@ -8,12 +8,14 @@ package repro
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/frozen"
 	"repro/internal/grammar"
 	"repro/internal/grammars"
+	"repro/internal/lalrtable"
 	"repro/internal/lr0"
 )
 
@@ -98,5 +100,32 @@ func TestLR0AllocBound(t *testing.T) {
 	t.Logf("lr0.New(csub): %.0f allocs over %d states (bound %.0f)", got, len(a.States), bound)
 	if got > bound {
 		t.Errorf("lr0.New allocates %.0f times on csub, bound %.0f — the allocation-lean construction has regressed", got, bound)
+	}
+}
+
+// TestTableBuildAllocBound pins table construction on the cold-large
+// unit chain.  GOTO is read from the automaton's own transitions, so a
+// build allocates the ACTION rows (states × terminals, here 3 terminals)
+// and nothing that grows as states × nonterminals; a dense GOTO copy
+// would cost about 62 MB on UnitChain(4000).  The figure is the least
+// heap growth over three builds, so a stray allocation elsewhere in the
+// process cannot inflate it.
+func TestTableBuildAllocBound(t *testing.T) {
+	a := lr0.New(grammars.UnitChain(4000), nil)
+	sets := core.Compute(a).Sets()
+	const bound = 1 << 20
+	var got uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = lalrtable.Build(a, sets)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; i == 0 || d < got {
+			got = d
+		}
+	}
+	t.Logf("lalrtable.Build(unit-chain-4000): %d B over %d states (bound %d)", got, len(a.States), bound)
+	if got > bound {
+		t.Errorf("lalrtable.Build allocates %d B on unit-chain-4000, bound %d — table storage grows with states × nonterminals again", got, bound)
 	}
 }

@@ -150,6 +150,27 @@ func BenchmarkTableIV_Conflicts(b *testing.B) {
 	})
 }
 
+// tablesSink keeps BenchmarkTableBuild's result live.
+var tablesSink *lalrtable.Tables
+
+// BenchmarkTableBuild measures lalrtable.Build alone on the cold-large
+// shape: unit chains, thousands of states over three terminals.
+// BenchmarkTableIV_Conflicts covers the corpus.
+func BenchmarkTableBuild(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		g := grammars.UnitChain(n)
+		b.Run(g.Name(), func(b *testing.B) {
+			a := lr0.New(g, nil)
+			sets := core.Compute(a).Sets()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tablesSink = lalrtable.Build(a, sets)
+			}
+		})
+	}
+}
+
 // BenchmarkFigScaling_* sweep the expr-levels(n) family (Fig. scaling).
 
 func scalingBench(b *testing.B, fn func(a *lr0.Automaton)) {

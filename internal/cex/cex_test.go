@@ -44,11 +44,11 @@ func simulate(t *testing.T, a *lr0.Automaton, tbl *lalrtable.Tables, prefix []gr
 		case lalrtable.Reduce:
 			prod := a.G.Prod(act.Target())
 			states = states[:len(states)-len(prod.Rhs)]
-			to := tbl.Goto[states[len(states)-1]][a.G.NtIndex(prod.Lhs)]
+			to := a.States[states[len(states)-1]].Goto(prod.Lhs)
 			if to < 0 {
 				t.Fatal("corrupt goto during simulation")
 			}
-			states = append(states, to)
+			states = append(states, int32(to))
 		default:
 			if pos == len(toks)-1 {
 				return false

@@ -1,8 +1,9 @@
 // Package lalrtable turns an LR(0) automaton plus per-reduction
 // look-ahead sets (from any method: SLR, DeRemer–Pennello, propagation,
-// canonical merge) into ACTION/GOTO parse tables, resolving conflicts
-// with yacc's precedence and associativity rules and accounting for
-// every conflict encountered.
+// canonical merge) into ACTION parse tables, resolving conflicts with
+// yacc's precedence and associativity rules and accounting for every
+// conflict encountered.  GOTO is the automaton's own nonterminal
+// transitions, read through lr0.State.Goto.
 package lalrtable
 
 import (
@@ -121,12 +122,14 @@ type Conflict struct {
 
 // Tables is a complete LR parse table.
 type Tables struct {
-	G         *grammar.Grammar
+	G *grammar.Grammar
+	// Auto is the automaton the tables were built from.  Its nonterminal
+	// transitions are the GOTO table: the entry for state q and
+	// nonterminal A is Auto.States[q].Goto(A), -1 meaning none.
+	Auto      *lr0.Automaton
 	NumStates int
 	// Action is indexed [state][terminal].
 	Action [][]Action
-	// Goto is indexed [state][nonterminal index]; -1 means no entry.
-	Goto [][]int32
 	// Conflicts lists every conflicted entry in encounter order.
 	Conflicts []Conflict
 	// AcceptState is the state holding the item $accept → start . $end.
@@ -159,13 +162,7 @@ func (t *Tables) Adequate() bool {
 // sets[q][i] is the look-ahead for a.States[q].Reductions[i] (the shape
 // every method in this module produces).
 func Build(a *lr0.Automaton, sets [][]bitset.Set) *Tables {
-	return BuildObserved(a, sets, nil)
-}
-
-// BuildObserved is Build with a table-build span and entry/conflict
-// counters recorded into rec (which may be nil).
-func BuildObserved(a *lr0.Automaton, sets [][]bitset.Set, rec *obs.Recorder) *Tables {
-	t, err := BuildBudgeted(a, sets, rec, nil)
+	t, err := BuildBudgeted(a, sets, nil, nil)
 	if err != nil {
 		// A nil Budget enforces nothing; no error is possible.
 		panic(err)
@@ -173,11 +170,13 @@ func BuildObserved(a *lr0.Automaton, sets [][]bitset.Set, rec *obs.Recorder) *Ta
 	return t
 }
 
-// BuildBudgeted is BuildObserved under a resource budget: the fill loop
+// BuildBudgeted is Build with a table-build span and entry/conflict
+// counters recorded into rec, under a resource budget: the fill loop
 // checkpoints cancellation once per state row and trips
-// guard.ResTableEntries when the installed ACTION/GOTO entry count
-// crosses Limits.MaxTableEntries.  A nil Budget makes it identical to
-// BuildObserved.
+// guard.ResTableEntries when the ACTION/GOTO entry count crosses
+// Limits.MaxTableEntries.  Every transition is one entry (shift, accept
+// or GOTO) and so is every look-ahead placement of a reduction.  rec
+// and bud may each be nil; with both nil it is Build.
 func BuildBudgeted(a *lr0.Automaton, sets [][]bitset.Set, rec *obs.Recorder, bud *guard.Budget) (*Tables, error) {
 	sp := rec.Start("table-build")
 	defer bud.Phase(bud.Phase("table-build"))
@@ -205,41 +204,34 @@ func buildTables(a *lr0.Automaton, sets [][]bitset.Set, bud *guard.Budget) (*Tab
 	g := a.G
 	t := &Tables{
 		G:           g,
+		Auto:        a,
 		NumStates:   len(a.States),
 		Action:      make([][]Action, len(a.States)),
-		Goto:        make([][]int32, len(a.States)),
 		AcceptState: -1,
 	}
-	numT, numN := g.NumTerminals(), g.NumNonterminals()
+	numT := g.NumTerminals()
 
 	acceptTarget := acceptState(a)
-	entries := 0 // ACTION + GOTO entries installed, for ResTableEntries
+	poisoned := make([]bool, numT) // %nonassoc error entries stay errors
+	entries := 0                   // ACTION + GOTO entries, for ResTableEntries
 	for q, s := range a.States {
 		if err := bud.Check(); err != nil {
 			return nil, err
 		}
-		if err := bud.Limit(guard.ResTableEntries, entries); err != nil {
-			return nil, err
-		}
 		row := make([]Action, numT)
-		grow := make([]int32, numN)
-		for i := range grow {
-			grow[i] = -1
-		}
 		entries += len(s.Transitions)
 		for _, tr := range s.Transitions {
-			if g.IsTerminal(tr.Sym) {
-				if tr.Sym == grammar.EOF && int(tr.To) == acceptTarget {
-					row[tr.Sym] = MakeAccept()
-					t.AcceptState = q
-				} else {
-					row[tr.Sym] = MakeShift(int(tr.To))
-				}
+			if !g.IsTerminal(tr.Sym) {
+				break // sorted by symbol: the rest are GOTO entries
+			}
+			if tr.Sym == grammar.EOF && int(tr.To) == acceptTarget {
+				row[tr.Sym] = MakeAccept()
+				t.AcceptState = q
 			} else {
-				grow[g.NtIndex(tr.Sym)] = tr.To
+				row[tr.Sym] = MakeShift(int(tr.To))
 			}
 		}
-		poisoned := make([]bool, numT) // %nonassoc error entries stay errors
+		clear(poisoned)
 		for i, pi := range s.Reductions {
 			if pi == 0 {
 				continue // the augmented production never reduces
@@ -250,7 +242,9 @@ func buildTables(a *lr0.Automaton, sets [][]bitset.Set, bud *guard.Budget) (*Tab
 			})
 		}
 		t.Action[q] = row
-		t.Goto[q] = grow
+		if err := bud.Limit(guard.ResTableEntries, entries); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -372,7 +366,7 @@ type Stats struct {
 
 // Stats computes occupancy statistics.
 func (t *Tables) Stats() Stats {
-	st := Stats{States: t.NumStates}
+	st := Stats{States: t.NumStates, GotoEntries: len(t.Auto.NtTrans)}
 	for q := range t.Action {
 		prods := map[int]bool{}
 		for _, a := range t.Action[q] {
@@ -388,11 +382,6 @@ func (t *Tables) Stats() Stats {
 		}
 		if len(prods) == 1 {
 			st.DefaultableStates++
-		}
-		for _, gt := range t.Goto[q] {
-			if gt >= 0 {
-				st.GotoEntries++
-			}
 		}
 	}
 	return st
@@ -422,13 +411,13 @@ func (t *Tables) String() string {
 		fmt.Fprintf(&b, "\t%s", g.SymName(g.NtSym(nt)))
 	}
 	b.WriteByte('\n')
-	for q := 0; q < t.NumStates; q++ {
+	for q, s := range t.Auto.States {
 		fmt.Fprintf(&b, "%d", q)
 		for term := 0; term < g.NumTerminals(); term++ {
 			fmt.Fprintf(&b, "\t%s", t.Action[q][term])
 		}
 		for nt := 1; nt < g.NumNonterminals(); nt++ {
-			if to := t.Goto[q][nt]; to >= 0 {
+			if to := s.Goto(g.NtSym(nt)); to >= 0 {
 				fmt.Fprintf(&b, "\t%d", to)
 			} else {
 				b.WriteString("\t.")

@@ -288,8 +288,8 @@ func TestBuildRandomGrammarInvariants(t *testing.T) {
 					accepts++
 				}
 			}
-			for _, to := range tbl.Goto[q] {
-				if to >= int32(tbl.NumStates) {
+			for _, tr := range tbl.Auto.States[q].Transitions {
+				if int(tr.To) >= tbl.NumStates {
 					t.Fatalf("trial %d: goto target out of range", trial)
 				}
 			}

@@ -92,16 +92,16 @@ func (p *Tables) packActions(t *lalrtable.Tables) {
 }
 
 func (p *Tables) packGotos(t *lalrtable.Tables) {
-	numN := t.G.NumNonterminals()
+	g := t.G
 	rows := make([][]entry, t.NumStates)
-	for q := 0; q < t.NumStates; q++ {
-		for nt, to := range t.Goto[q] {
-			if to >= 0 {
-				rows[q] = append(rows[q], entry{col: nt, act: lalrtable.Action(to)})
+	for q, s := range t.Auto.States {
+		for _, tr := range s.Transitions {
+			if !g.IsTerminal(tr.Sym) {
+				rows[q] = append(rows[q], entry{col: g.NtIndex(tr.Sym), act: lalrtable.Action(tr.To)})
 			}
 		}
 	}
-	base, next, check := displace(rows, numN)
+	base, next, check := displace(rows, g.NumNonterminals())
 	p.GotoBase = base
 	p.GotoCheck = check
 	p.GotoNext = make([]int32, len(next))
@@ -262,7 +262,7 @@ func (p *Tables) Verify() error {
 			}
 		}
 		for nt := 0; nt < t.G.NumNonterminals(); nt++ {
-			if got, want := p.Goto(q, nt), int(t.Goto[q][nt]); got != want {
+			if got, want := p.Goto(q, nt), t.Auto.States[q].Goto(t.G.NtSym(nt)); got != want {
 				return fmt.Errorf("packed goto[%d][%d] = %d, want %d", q, nt, got, want)
 			}
 		}

@@ -85,7 +85,7 @@ func parseFull(t *lalrtable.Tables, g *grammar.Grammar, input []grammar.Sym) boo
 		case lalrtable.Reduce:
 			prod := g.Prod(act.Target())
 			states = states[:len(states)-len(prod.Rhs)]
-			to := t.Goto[states[len(states)-1]][g.NtIndex(prod.Lhs)]
+			to := t.Auto.States[states[len(states)-1]].Goto(prod.Lhs)
 			if to < 0 {
 				return false
 			}

@@ -256,11 +256,11 @@ func (p *Parser) run(lx Lexer, acts *actions) (*Node, any, error) {
 			}
 			states = states[:len(states)-n]
 			top := states[len(states)-1]
-			to := t.Goto[top][g.NtIndex(prod.Lhs)]
+			to := t.Auto.States[top].Goto(prod.Lhs)
 			if to < 0 {
 				return nil, nil, fmt.Errorf("runtime: corrupt table: no goto from %d on %s", top, g.SymName(prod.Lhs))
 			}
-			push(to, node, val)
+			push(int32(to), node, val)
 
 		case lalrtable.Accept:
 			p.tracef("state %d: accept", state)
