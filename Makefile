@@ -73,10 +73,11 @@ serve-smoke:
 
 # Telemetry smoke (DESIGN.md § 11): request-id echo, trace retrieval by
 # id, Prometheus exposition through the strict validator, /metricz
-# latency digests, build info, JSON access-log records.
+# latency digests, build info, JSON access-log records, and traced cold
+# misses that never stop the world.
 TELEMETRY_SMOKE_TESTS = TestRequestIDHeaderOnEveryResponse TestTraceRoundTripByRequestID \
 	TestMetriczPromExposition TestMetriczJSONTelemetrySections TestHealthzUptimeAndBuild \
-	TestAccessLogJSONRecords
+	TestAccessLogJSONRecords TestColdMissStopsNoWorld
 telemetry-smoke:
 	@$(call run-tests,$(TELEMETRY_SMOKE_TESTS))
 

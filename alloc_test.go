@@ -4,11 +4,14 @@ package repro
 // benchmarks report allocs/op for the two hot constructions on the
 // largest corpus grammar; the tests pin hard ceilings so a change that
 // silently reverts to per-set or per-item allocation fails `go test`,
-// not just a benchmark diff nobody reads.
+// not just a benchmark diff nobody reads.  The last two gates bound
+// what attaching a Recorder costs: a fixed handful of allocations and
+// no stop-the-world pause.
 
 import (
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/core"
@@ -127,5 +130,64 @@ func TestTableBuildAllocBound(t *testing.T) {
 	t.Logf("lalrtable.Build(unit-chain-4000): %d B over %d states (bound %d)", got, len(a.States), bound)
 	if got > bound {
 		t.Errorf("lalrtable.Build allocates %d B on unit-chain-4000, bound %d — table storage grows with states × nonterminals again", got, bound)
+	}
+}
+
+// TestRecorderAllocOverhead bounds what observing an analysis costs in
+// allocations: a recorded Analyze plus its ExportData may allocate at
+// most 64 times more than a plain Analyze.  The recorder allocates per
+// span and per counter name, never per item, so one bound holds on the
+// smallest and the largest corpus machines alike.
+func TestRecorderAllocOverhead(t *testing.T) {
+	const bound = 64
+	for _, name := range []string{"json", "ada"} {
+		g := grammars.MustLoad(name)
+		plain := testing.AllocsPerRun(10, func() {
+			if _, err := Analyze(g, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		recorded := testing.AllocsPerRun(10, func() {
+			rec := NewRecorder()
+			if _, err := Analyze(g, Options{Recorder: rec}); err != nil {
+				t.Fatal(err)
+			}
+			_ = rec.ExportData()
+		})
+		got := recorded - plain
+		t.Logf("%s: recorded %.0f − plain %.0f = %.0f allocs (bound %d)", name, recorded, plain, got, bound)
+		if got > bound {
+			t.Errorf("%s: a Recorder adds %.0f allocations to Analyze, bound %d", name, got, bound)
+		}
+	}
+}
+
+// stopTheWorldPauses is the process's count of stop-the-world pauses
+// other than the garbage collector's own (ReadMemStats, for one).
+func stopTheWorldPauses() uint64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// TestRecordedAnalyzeStopsNoWorld: recording an analysis must not pause
+// the process.  A span that sampled heap statistics at its boundaries
+// would stop the world twice, 24 times per Analyze of ada.  No test in
+// this package runs in parallel, so nothing else pauses the world while
+// this one counts.
+func TestRecordedAnalyzeStopsNoWorld(t *testing.T) {
+	g := grammars.MustLoad("ada")
+	before := stopTheWorldPauses()
+	for i := 0; i < 20; i++ {
+		if _, err := Analyze(g, Options{Recorder: NewRecorder()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := stopTheWorldPauses() - before; got != 0 {
+		t.Errorf("20 recorded Analyze(ada) calls stopped the world %d times, want 0", got)
 	}
 }

@@ -56,7 +56,9 @@ func TestAnalyzeAllEqualsSerial(t *testing.T) {
 }
 
 // TestAnalyzeAllMergedRecorder: the batch recorder's counters must equal
-// a serial run's with the same single recorder.
+// a serial run's with the same single recorder, and each grammar's
+// phase tree must arrive as one adopted root span, whatever the worker
+// count.
 func TestAnalyzeAllMergedRecorder(t *testing.T) {
 	gs := batchCorpus(t)
 
@@ -67,21 +69,26 @@ func TestAnalyzeAllMergedRecorder(t *testing.T) {
 		}
 	}
 
-	batch := repro.NewRecorder()
-	if _, err := repro.AnalyzeAll(gs, repro.BatchOptions{
-		Options: repro.Options{Recorder: batch},
-		Workers: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{1, 3} {
+		batch := repro.NewRecorder()
+		if _, err := repro.AnalyzeAll(gs, repro.BatchOptions{
+			Options: repro.Options{Recorder: batch},
+			Workers: workers,
+		}); err != nil {
+			t.Fatal(err)
+		}
 
-	got, want := batch.Snapshot(), serial.Snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("counter sets differ:\ngot %v\nwant %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("counter %s = %d, want %d", want[i].Name, got[i].Value, want[i].Value)
+		got, want := batch.Snapshot(), serial.Snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: counter sets differ:\ngot %v\nwant %v", workers, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d: counter %s = %d, want %d", workers, want[i].Name, got[i].Value, want[i].Value)
+			}
+		}
+		if roots := len(batch.ExportData().Phases); roots != len(gs) {
+			t.Errorf("workers=%d: merged recorder has %d root spans, want %d", workers, roots, len(gs))
 		}
 	}
 }

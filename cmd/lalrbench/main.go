@@ -47,7 +47,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -377,13 +376,9 @@ func figDigraph(quick bool) string {
 	return t.String()
 }
 
-// keep report import referenced even if tables change shape during
-// development.
-var _ = sort.Ints
-
 // benchSchema versions the -metrics-out layout (the BENCH_*.json
-// trajectory format).  The per-run observability fragments inside it
-// carry their own obs.SchemaVersion.
+// trajectory format).  The phase trees inside it are obs.SpanExport
+// values, whose layout obs.SchemaVersion versions.
 const benchSchema = "repro-bench/1"
 
 // benchMetrics is the top-level -metrics-out document.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -213,14 +214,18 @@ func TestEmitMetricsWritesFile(t *testing.T) {
 // match, so "counters unchanged" is enforced rather than asserted.  Each
 // row must also satisfy the paper's linearity identity: the Digraph
 // passes perform one union per relation edge plus one copy per non-root
-// SCC member, and la-union adds one per lookback edge.
+// SCC member, and la-union adds one per lookback edge.  The file is
+// decoded strictly, so a field the writer no longer emits (a stale
+// phase alloc_bytes, say) fails the gate instead of being ignored.
 func TestBenchCoreGate(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_core.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want benchMetrics
-	if err := json.Unmarshal(data, &want); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := collectMetrics(true, 1, &cliguard.Flags{})

@@ -23,10 +23,7 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/grammar"
 	"repro/internal/guard"
-	"repro/internal/lr0"
 	"repro/internal/obs"
 )
 
@@ -134,6 +131,12 @@ func Run(ctx context.Context, n int, opts Options, fn func(ctx context.Context, 
 	var cancelled bool
 feed:
 	for i := 0; i < n; i++ {
+		// select picks at random among ready cases, so a done ctx is
+		// checked first: an idle worker must not win over it.
+		if ctx.Err() != nil {
+			cancelled = true
+			break
+		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -166,36 +169,4 @@ feed:
 		return outer.Err()
 	}
 	return nil
-}
-
-// Result is one grammar's trip through the DeRemer–Pennello pipeline.
-type Result struct {
-	Grammar   *grammar.Grammar
-	Automaton *lr0.Automaton
-	// DP holds the look-ahead sets and relations; DP.Sets() is the
-	// method-independent [state][reduction] shape.
-	DP *core.Result
-}
-
-// AnalyzeAll runs grammar analysis, LR(0) construction and the
-// DeRemer–Pennello look-ahead computation for every grammar, in
-// parallel.  results[i] is gs[i]'s analysis; on error or cancellation
-// the slice is still returned, with nil entries for tasks that never
-// ran (completed entries are kept — a batch cut short at grammar 40
-// of 50 keeps its 40 results).
-func AnalyzeAll(ctx context.Context, gs []*grammar.Grammar, opts Options) ([]*Result, error) {
-	results := make([]*Result, len(gs))
-	err := Run(ctx, len(gs), opts, func(ctx context.Context, i int, rec *obs.Recorder) error {
-		g := gs[i]
-		if g == nil {
-			return fmt.Errorf("nil grammar")
-		}
-		sp := rec.Start("analyze-" + g.Name())
-		defer sp.End()
-		an := grammar.Analyze(g)
-		a := lr0.NewObserved(g, an, rec)
-		results[i] = &Result{Grammar: g, Automaton: a, DP: core.ComputeObserved(a, rec)}
-		return nil
-	})
-	return results, err
 }

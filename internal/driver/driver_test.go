@@ -8,117 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/grammar"
-	"repro/internal/grammars"
 	"repro/internal/guard"
-	"repro/internal/lr0"
 	"repro/internal/obs"
 )
-
-func loadCorpus(t *testing.T) []*grammar.Grammar {
-	t.Helper()
-	var gs []*grammar.Grammar
-	for _, e := range grammars.All() {
-		g, err := grammars.Load(e.Name)
-		if err != nil {
-			t.Fatalf("load %s: %v", e.Name, err)
-		}
-		gs = append(gs, g)
-	}
-	if len(gs) < 5 {
-		t.Fatalf("corpus unexpectedly small: %d grammars", len(gs))
-	}
-	return gs
-}
-
-// laFingerprint renders every look-ahead set of a result, in state and
-// reduction order, so two analyses can be compared byte for byte.
-func laFingerprint(r *Result) string {
-	out := ""
-	for q, sets := range r.DP.Sets() {
-		for i, s := range sets {
-			out += fmt.Sprintf("%d/%d:%s\n", q, i, s.String())
-		}
-	}
-	return out
-}
-
-// TestAnalyzeAllMatchesSerial is the correctness gate for the parallel
-// driver: on the full corpus, the parallel batch must produce LA sets
-// byte-identical to independent serial runs.  Run under -race (make ci
-// does) this also exercises the pool's synchronisation.
-func TestAnalyzeAllMatchesSerial(t *testing.T) {
-	gs := loadCorpus(t)
-
-	want := make([]string, len(gs))
-	for i, g := range gs {
-		an := grammar.Analyze(g)
-		a := lr0.New(g, an)
-		want[i] = laFingerprint(&Result{Grammar: g, Automaton: a, DP: core.Compute(a)})
-	}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		results, err := AnalyzeAll(context.Background(), gs, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(results) != len(gs) {
-			t.Fatalf("workers=%d: got %d results, want %d", workers, len(results), len(gs))
-		}
-		for i, r := range results {
-			if r == nil {
-				t.Fatalf("workers=%d: result %d (%s) is nil", workers, i, gs[i].Name())
-			}
-			if r.Grammar != gs[i] {
-				t.Errorf("workers=%d: result %d is for the wrong grammar", workers, i)
-			}
-			if got := laFingerprint(r); got != want[i] {
-				t.Errorf("workers=%d: %s LA sets differ from serial run:\ngot:\n%s\nwant:\n%s",
-					workers, gs[i].Name(), got, want[i])
-			}
-		}
-	}
-}
-
-// TestAnalyzeAllMergedCounters checks the observability invariant: the
-// merged recorder's counter totals equal a serial run's, independent of
-// worker count.
-func TestAnalyzeAllMergedCounters(t *testing.T) {
-	gs := loadCorpus(t)
-
-	serial := obs.New()
-	for _, g := range gs {
-		an := grammar.Analyze(g)
-		a := lr0.NewObserved(g, an, serial)
-		core.ComputeObserved(a, serial)
-	}
-
-	for _, workers := range []int{1, 3} {
-		rec := obs.New()
-		if _, err := AnalyzeAll(context.Background(), gs, Options{Workers: workers, Recorder: rec}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got, want := rec.Snapshot(), serial.Snapshot()
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d counters, want %d\ngot %v\nwant %v", workers, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: counter %s = %d, want %d", workers, want[i].Name, got[i].Value, want[i].Value)
-			}
-		}
-		// One adopted span subtree per grammar, whatever the worker count.
-		spans := 0
-		for _, p := range rec.ExportData().Phases {
-			_ = p
-			spans++
-		}
-		if spans != len(gs) {
-			t.Errorf("workers=%d: merged recorder has %d root spans, want %d", workers, spans, len(gs))
-		}
-	}
-}
 
 // TestRunCancellation: a context cancelled mid-feed stops dispatch and
 // reports ctx.Err(); tasks already dispatched complete.
@@ -140,18 +32,21 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestRunAlreadyCancelled: a context done before Run starts dispatches
+// no task at all and reports ctx.Err().
 func TestRunAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	gs := []*grammar.Grammar{grammars.MustLoad("expr"), grammars.MustLoad("json")}
-	results, err := AnalyzeAll(ctx, gs, Options{Workers: 2})
+	var ran atomic.Int32
+	err := Run(ctx, 2, Options{Workers: 2}, func(ctx context.Context, i int, rec *obs.Recorder) error {
+		ran.Add(1)
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	for i, r := range results {
-		if r != nil {
-			t.Errorf("result %d ran despite pre-cancelled context", i)
-		}
+	if got := ran.Load(); got != 0 {
+		t.Errorf("ran %d tasks despite pre-cancelled context", got)
 	}
 }
 

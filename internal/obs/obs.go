@@ -1,8 +1,8 @@
 // Package obs is the pipeline's observability layer: hierarchical
 // phase timers and named monotonic counters keyed off the paper's cost
 // model, with three sinks — a human-readable tree summary, versioned
-// JSON export (the format of the BENCH_* trajectory files), and an
-// expvar-style snapshot API.
+// JSON export (the format of the BENCH_* trajectory files), and a
+// name-sorted counter snapshot.
 //
 // The central type is Recorder.  Every entry point of the pipeline
 // accepts a *Recorder and is nil-safe: a nil Recorder turns every
@@ -27,7 +27,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -35,7 +34,7 @@ import (
 
 // SchemaVersion identifies the JSON export layout.  Bump when the
 // structure of Export changes incompatibly.
-const SchemaVersion = "repro-obs/1"
+const SchemaVersion = "repro-obs/2"
 
 // Counter names.  Each is one term of the paper's cost model: Digraph
 // solves the reads/includes union systems in time linear in nodes
@@ -102,12 +101,16 @@ const (
 
 // Span is one timed phase.  Spans nest: a span started while another
 // is open becomes its child.  All methods are nil-safe.
+//
+// A span records wall time only.  Sampling heap allocation at span
+// boundaries would need runtime.ReadMemStats, which stops the world,
+// and its process-wide counter would also charge a span with every
+// other goroutine's allocations; per-phase allocation is measured
+// exactly by the allocation benchmarks and gates instead.
 type Span struct {
 	name     string
 	start    time.Time
-	allocAt  uint64
 	wall     time.Duration
-	alloc    int64
 	children []*Span
 	parent   *Span
 	rec      *Recorder
@@ -126,15 +129,6 @@ func New() *Recorder {
 	return &Recorder{counters: make(map[string]int64)}
 }
 
-// totalAlloc samples cumulative heap allocation.  ReadMemStats is a
-// stop-the-world operation; it runs only at span boundaries, which are
-// per-phase, not per-item.
-func totalAlloc() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.TotalAlloc
-}
-
 // Start opens a span named name nested under the currently open span.
 // Returns nil (harmlessly) on a nil Recorder.
 func (r *Recorder) Start(name string) *Span {
@@ -148,26 +142,22 @@ func (r *Recorder) Start(name string) *Span {
 		r.roots = append(r.roots, s)
 	}
 	r.cur = s
-	s.allocAt = totalAlloc()
 	s.start = time.Now() // last: exclude our own bookkeeping from the span
 	return s
 }
 
-// End closes the span, recording wall time and the allocation delta.
-// Ending an already-ended or nil span is a no-op.  If inner spans are
-// still open they are closed first, so a forgotten End cannot corrupt
-// the nesting.
+// End closes the span, recording its wall time.  Ending an
+// already-ended or nil span is a no-op.  If inner spans are still open
+// they are closed first, so a forgotten End cannot corrupt the nesting.
 func (s *Span) End() {
 	if s == nil || !s.open {
 		return
 	}
 	wall := time.Since(s.start)
-	alloc := int64(totalAlloc() - s.allocAt)
 	for s.rec.cur != nil && s.rec.cur != s {
 		s.rec.cur.End()
 	}
 	s.wall = wall
-	s.alloc = alloc
 	s.open = false
 	s.rec.cur = s.parent
 }
@@ -254,20 +244,11 @@ func (r *Recorder) Snapshot() []KV {
 	return out
 }
 
-// Do calls f for every counter in name order — the expvar.Do idiom,
-// for callers that export counters into their own monitoring.
-func (r *Recorder) Do(f func(KV)) {
-	for _, kv := range r.Snapshot() {
-		f(kv)
-	}
-}
-
 // SpanExport is the JSON form of one span.
 type SpanExport struct {
-	Name       string       `json:"name"`
-	WallNs     int64        `json:"wall_ns"`
-	AllocBytes int64        `json:"alloc_bytes"`
-	Children   []SpanExport `json:"children,omitempty"`
+	Name     string       `json:"name"`
+	WallNs   int64        `json:"wall_ns"`
+	Children []SpanExport `json:"children,omitempty"`
 }
 
 // Export is the JSON form of a whole Recorder.
@@ -278,7 +259,7 @@ type Export struct {
 }
 
 func exportSpan(s *Span) SpanExport {
-	e := SpanExport{Name: s.name, WallNs: s.wall.Nanoseconds(), AllocBytes: s.alloc}
+	e := SpanExport{Name: s.name, WallNs: s.wall.Nanoseconds()}
 	for _, c := range s.children {
 		e.Children = append(e.Children, exportSpan(c))
 	}
@@ -312,9 +293,8 @@ func (r *Recorder) JSON() ([]byte, error) {
 	return json.MarshalIndent(r.ExportData(), "", "  ")
 }
 
-// Tree renders the spans as an indented tree with wall time and
-// allocation deltas, followed by the counters — the -stats output of
-// the CLIs.
+// Tree renders the spans as an indented tree with wall times, followed
+// by the counters — the -stats output of the CLIs.
 func (r *Recorder) Tree() string {
 	if r == nil {
 		return ""
@@ -340,10 +320,10 @@ func (r *Recorder) Tree() string {
 	var render func(s *Span, depth int)
 	render = func(s *Span, depth int) {
 		pad := 2*depth + len(s.name)
-		fmt.Fprintf(&b, "%s%s%s  %10s  %s\n",
+		fmt.Fprintf(&b, "%s%s%s  %10s\n",
 			strings.Repeat("  ", depth), s.name,
 			strings.Repeat(" ", width-pad),
-			fmtDuration(s.wall), fmtBytes(s.alloc))
+			fmtDuration(s.wall))
 		for _, c := range s.children {
 			render(c, depth+1)
 		}
@@ -376,17 +356,5 @@ func fmtDuration(d time.Duration) string {
 		return fmt.Sprintf("%.2fms", float64(d.Nanoseconds())/1e6)
 	default:
 		return fmt.Sprintf("%.3fs", d.Seconds())
-	}
-}
-
-// fmtBytes renders an allocation delta in B/KB/MB.
-func fmtBytes(n int64) string {
-	switch {
-	case n < 10*1024:
-		return fmt.Sprintf("%dB", n)
-	case n < 10*1024*1024:
-		return fmt.Sprintf("%dKB", n/1024)
-	default:
-		return fmt.Sprintf("%dMB", n/(1024*1024))
 	}
 }

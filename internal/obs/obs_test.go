@@ -96,11 +96,6 @@ func TestCountersAndSnapshot(t *testing.T) {
 	if snap[0].Name != CBitsetUnions || snap[1].Name != CReadsEdges {
 		t.Errorf("snapshot order: %v", snap)
 	}
-	var seen []string
-	r.Do(func(kv KV) { seen = append(seen, kv.Name) })
-	if len(seen) != 2 || seen[0] != CBitsetUnions {
-		t.Errorf("Do order: %v", seen)
-	}
 }
 
 func TestMergeSumsCountersAndAdoptsSpans(t *testing.T) {
@@ -250,14 +245,5 @@ func TestFormatHelpers(t *testing.T) {
 		if got := fmtDuration(c.d); got != c.want {
 			t.Errorf("fmtDuration(%v) = %q, want %q", c.d, got, c.want)
 		}
-	}
-	if got := fmtBytes(512); got != "512B" {
-		t.Errorf("fmtBytes(512) = %q", got)
-	}
-	if got := fmtBytes(64 * 1024); got != "64KB" {
-		t.Errorf("fmtBytes(64K) = %q", got)
-	}
-	if got := fmtBytes(32 * 1024 * 1024); got != "32MB" {
-		t.Errorf("fmtBytes(32M) = %q", got)
 	}
 }

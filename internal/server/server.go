@@ -201,16 +201,6 @@ func (s *Server) addCounter(name string, delta int64) {
 	s.mu.Unlock()
 }
 
-// foldRecorder merges one request's pipeline counters into the
-// server-lifetime totals.  Only counters are kept: span trees are
-// per-request detail, and holding every request's spans for the
-// server's lifetime would grow without bound.
-func (s *Server) foldRecorder(rec *obs.Recorder) {
-	s.mu.Lock()
-	rec.Do(func(kv obs.KV) { s.counters[kv.Name] += kv.Value })
-	s.mu.Unlock()
-}
-
 // admitInflight takes an admission slot, or rejects the request with
 // 429 when the server is at -max-inflight.
 func (s *Server) admitInflight(w http.ResponseWriter, r *http.Request) bool {

@@ -81,9 +81,11 @@ func endpointLabel(path string) string {
 }
 
 // recordPipeline is the per-computation telemetry tap: it exports the
-// recorder (closing open spans), feeds each span's wall time into the
-// per-phase latency histograms, folds the counters into the server
-// totals, and returns the span trees for the request's trace.
+// recorder once (closing open spans), feeds each span's wall time into
+// the per-phase latency histograms, folds the exported counters into
+// the server totals, and returns the span trees for the request's
+// trace.  Only counters outlive the request: holding every request's
+// spans for the server's lifetime would grow without bound.
 func (s *Server) recordPipeline(rec *obs.Recorder) []obs.SpanExport {
 	data := rec.ExportData()
 	var walk func(spans []obs.SpanExport)
@@ -94,7 +96,11 @@ func (s *Server) recordPipeline(rec *obs.Recorder) []obs.SpanExport {
 		}
 	}
 	walk(data.Phases)
-	s.foldRecorder(rec)
+	s.mu.Lock()
+	for name, v := range data.Counters {
+		s.counters[name] += v
+	}
+	s.mu.Unlock()
 	return data.Phases
 }
 

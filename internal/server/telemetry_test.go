@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -290,5 +292,40 @@ func TestBatchTraceCarriesPerGrammarEntries(t *testing.T) {
 	}
 	if !labels["a.y"] || !labels["b.y"] {
 		t.Errorf("batch entry labels = %v, want a.y and b.y", labels)
+	}
+}
+
+// stopTheWorldPauses is the process's count of stop-the-world pauses
+// other than the garbage collector's own (ReadMemStats, for one).
+func stopTheWorldPauses() uint64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// TestColdMissStopsNoWorld: every cold miss is traced, so tracing must
+// not pause the process — a pause stalls every concurrent request.
+// Spans that sampled heap statistics would stop the world 24 times per
+// miss.  No test in this package runs in parallel, so nothing else
+// pauses the world while this one counts.
+func TestColdMissStopsNoWorld(t *testing.T) {
+	ts := newTestServer(t, Config{CacheBytes: 1 << 20})
+	before := stopTheWorldPauses()
+	for i := 0; i < 10; i++ {
+		g := fmt.Sprintf("%%token A B C%d\n%%%%\ns : A s B | A | C%d ;\n", i, i)
+		resp, body := post(t, ts, "/v1/analyze", AnalyzeRequest{Grammar: g})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if h := resp.Header.Get("X-Repro-Cache"); h != "miss" {
+			t.Fatalf("request %d: X-Repro-Cache = %q, want miss", i, h)
+		}
+	}
+	if got := stopTheWorldPauses() - before; got != 0 {
+		t.Errorf("10 cold misses stopped the world %d times, want 0", got)
 	}
 }
